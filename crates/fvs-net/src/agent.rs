@@ -2,41 +2,29 @@
 //!
 //! A [`NodeAgent`] runs a [`ClusterNode`] (machine + local predictor —
 //! the same per-core sampling path the multi-threaded daemon's
-//! collectors feed) on its own thread: tick the machine, close the
-//! measurement window every `summary_every` ticks, ship the
-//! [`NodeSummary`] upstream, and apply whatever frequency ceilings come
-//! back. When the link drops the agent reconnects with the exponential
-//! backoff discipline of the degradation ladder — a seedable,
-//! equal-jitter [`ReconnectLadder`]: base, 2×, 4×, … up to a ceiling,
-//! each rung drawn uniformly from [rung/2, rung] so a herd of agents
-//! losing one coordinator does not reconnect in lockstep — while the
-//! machine keeps running at its last-commanded frequencies (exactly the
-//! mute-but-running scenario the coordinator's conservative charging
-//! defends against).
+//! collectors feed) against the coordinator: tick the machine, close
+//! the measurement window every `summary_every` ticks, ship the
+//! summary upstream, and apply whatever frequency ceilings come back.
+//! It is an [`AgentFleet`] of one, so a standalone agent and a fleet
+//! member run the same state machine (see [`crate::fleet`] for the
+//! handshake, epoch fencing and link-timeout rules).
 //!
-//! Epoch fencing: the agent remembers the highest coordinator epoch it
-//! has ever acknowledged and refuses to serve a coordinator presenting
-//! a lower one — whether at handshake (a refused hello, or an ack
-//! carrying a stale epoch) or mid-connection (a stale heartbeat). A
-//! fenced coordinator is retried through the ladder, because the fence
-//! is about *which* coordinator is current, not a permanent protocol
-//! mismatch; only a schema-version refusal is terminal.
+//! This module holds what every agent shares: its [`AgentConfig`],
+//! and the [`ReconnectLadder`] it climbs when the link drops — a
+//! seedable, equal-jitter exponential backoff: base, 2×, 4×, … up to a
+//! ceiling, each rung drawn uniformly from [rung/2, rung] so a herd of
+//! agents losing one coordinator does not reconnect in lockstep.
 
-use crate::chaos::{ChaosSide, ChaosStream};
 use crate::error::FvsError;
-use crate::transport::{FillStatus, Transport};
-use crate::wire::{WireCodec, WireMsg, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION};
+use crate::fleet::{AgentFleet, AgentStats, FleetHandle};
+use crate::wire::{WireCodec, CODEC_ALL, CODEC_JSON_BIT, SCHEMA_VERSION};
 use crate::WireChaos;
 use fvs_cluster::ClusterNode;
-use fvs_sim::Pacer;
 use fvs_telemetry::{Telemetry, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Seedable equal-jitter exponential backoff: rung `k` sleeps a
 /// uniform draw from `[base·2ᵏ/2, base·2ᵏ]`, capped at `max`. Pure
@@ -88,9 +76,9 @@ pub struct AgentConfig {
     pub tick_s: f64,
     /// Ticks per summary (the paper's `n`: window per report).
     pub summary_every: u32,
-    /// Wall-clock pacing per tick (zero = free-running).
+    /// Wall time per tick outside real-time mode (zero = free-running).
     pub pace: Duration,
-    /// Real-time mode: pace each tick to exactly `tick_s` of wall time
+    /// Real-time mode: each tick takes exactly `tick_s` of wall time
     /// (absolute deadlines, drift-free), so one simulated second takes
     /// one wall second — the honest way to soak a live coordinator on
     /// the paper's real `t = 10 ms` sampling cadence. Overrides `pace`.
@@ -221,7 +209,7 @@ impl AgentConfig {
         self
     }
 
-    fn validate(&self) -> Result<(), FvsError> {
+    pub(crate) fn validate(&self) -> Result<(), FvsError> {
         if !(self.tick_s.is_finite() && self.tick_s > 0.0) {
             return Err(FvsError::config("tick_s must be finite and positive"));
         }
@@ -238,7 +226,7 @@ impl AgentConfig {
     }
 }
 
-/// What the agent thread hands back when it exits.
+/// An agent's final counters, returned when it stops or is killed.
 #[derive(Debug, Clone)]
 pub struct AgentReport {
     /// The node this agent drove.
@@ -258,155 +246,66 @@ pub struct AgentReport {
     pub final_power_w: f64,
 }
 
-/// Live counters of a running agent, updated in place by the agent
-/// thread and readable from any thread — the node binary's `/healthz`
-/// endpoint reads these without joining the thread.
-#[derive(Debug, Default)]
-pub struct AgentStats {
-    connected: AtomicBool,
-    summaries_sent: AtomicU64,
-    ceilings_applied: AtomicU64,
-    reconnects: AtomicU64,
-    epochs_fenced: AtomicU64,
-    /// Latest node power as f64 bits.
-    power_bits: AtomicU64,
-    /// Codec id negotiated on the current connection (0 = none yet).
-    codec_id: AtomicU64,
-}
-
-impl AgentStats {
-    /// Currently connected (past a successful handshake).
-    pub fn connected(&self) -> bool {
-        self.connected.load(Ordering::SeqCst)
-    }
-
-    /// Summaries shipped upstream so far.
-    pub fn summaries_sent(&self) -> u64 {
-        self.summaries_sent.load(Ordering::SeqCst)
-    }
-
-    /// Ceiling commands applied to the machine so far.
-    pub fn ceilings_applied(&self) -> u64 {
-        self.ceilings_applied.load(Ordering::SeqCst)
-    }
-
-    /// Times the connection was re-established after the first.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::SeqCst)
-    }
-
-    /// Stale coordinators fenced so far.
-    pub fn epochs_fenced(&self) -> u64 {
-        self.epochs_fenced.load(Ordering::SeqCst)
-    }
-
-    /// The node's power at the last summary window (W).
-    pub fn power_w(&self) -> f64 {
-        f64::from_bits(self.power_bits.load(Ordering::SeqCst))
-    }
-
-    /// The codec negotiated on the current connection, if any.
-    pub fn negotiated_codec(&self) -> Option<WireCodec> {
-        match self.codec_id.load(Ordering::SeqCst) as u8 {
-            0 => None,
-            id => Some(WireCodec::from_id(id)),
+impl AgentReport {
+    fn new(node: usize, stats: &AgentStats) -> Self {
+        AgentReport {
+            node,
+            summaries_sent: stats.summaries_sent(),
+            ceilings_applied: stats.ceilings_applied(),
+            reconnects: stats.reconnects(),
+            epochs_fenced: stats.epochs_fenced(),
+            version_rejected: stats.version_rejects() > 0,
+            final_power_w: stats.power_w(),
         }
     }
 }
 
-struct Flags {
-    /// Orderly shutdown: send `Bye`, then exit.
-    stop: AtomicBool,
-    /// Crash simulation: drop everything on the floor and exit.
-    kill: AtomicBool,
-}
-
-/// Handle to a running agent thread.
+/// Handle to a running node agent.
 pub struct NodeAgentHandle {
-    flags: Arc<Flags>,
-    stats: Arc<AgentStats>,
-    thread: JoinHandle<AgentReport>,
+    node: usize,
+    fleet: FleetHandle,
 }
 
 impl NodeAgentHandle {
-    /// Whether the agent thread has already exited on its own (version
+    /// Whether the agent has already exited on its own (version
     /// refusal is the one self-terminating path).
     pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
+        self.fleet.is_finished()
     }
 
     /// The agent's live counters (shareable; plain atomics).
     pub fn stats(&self) -> Arc<AgentStats> {
-        Arc::clone(&self.stats)
+        self.fleet.stats()
     }
 
     /// Orderly shutdown: the agent says `Bye` and returns its report.
     pub fn stop(self) -> AgentReport {
-        self.flags.stop.store(true, Ordering::SeqCst);
-        self.thread.join().expect("agent thread panicked")
+        AgentReport::new(self.node, &self.fleet.stop())
     }
 
     /// Crash the agent: the socket just goes dead, no goodbye — from
     /// the coordinator's side this is indistinguishable from a node
     /// failure, which is the point.
     pub fn kill(self) -> AgentReport {
-        self.flags.kill.store(true, Ordering::SeqCst);
-        self.thread.join().expect("agent thread panicked")
+        AgentReport::new(self.node, &self.fleet.kill())
     }
 }
 
-/// Spawns and owns one node-agent thread.
+/// Starts standalone node agents.
 pub struct NodeAgent;
 
 impl NodeAgent {
-    /// Start an agent driving `node` against the coordinator at `addr`.
+    /// Start an agent driving `node` against the coordinator at `addr`:
+    /// an [`AgentFleet`] of one.
     pub fn spawn(
         node: ClusterNode,
         addr: impl Into<String>,
         config: AgentConfig,
     ) -> Result<NodeAgentHandle, FvsError> {
-        config.validate()?;
-        let addr = addr.into();
-        let flags = Arc::new(Flags {
-            stop: AtomicBool::new(false),
-            kill: AtomicBool::new(false),
-        });
-        let stats = Arc::new(AgentStats::default());
-        let thread_flags = Arc::clone(&flags);
-        let thread_stats = Arc::clone(&stats);
-        let thread =
-            std::thread::spawn(move || agent_loop(node, &addr, config, thread_flags, thread_stats));
-        Ok(NodeAgentHandle {
-            flags,
-            stats,
-            thread,
-        })
+        let id = node.id;
+        let fleet = AgentFleet::launch(vec![node], addr.into(), config, Duration::ZERO)?;
+        Ok(NodeAgentHandle { node: id, fleet })
     }
-}
-
-/// Sleep `total` in small slices so stop/kill stay responsive.
-fn interruptible_sleep(total: Duration, flags: &Flags) {
-    let slice = Duration::from_millis(5);
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline {
-        if flags.stop.load(Ordering::SeqCst) || flags.kill.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(slice.min(deadline.saturating_duration_since(Instant::now())));
-    }
-}
-
-pub(crate) enum Handshake {
-    /// Accepted; the coordinator's epoch (to remember as highest-seen)
-    /// and the codec it chose from our advertisement.
-    Accepted(u64, WireCodec),
-    /// Refused over schema version: permanent, stop retrying.
-    RefusedVersion,
-    /// Refused (or acked) by a coordinator whose epoch is below our
-    /// highest-seen: a stale survivor. Retry through the ladder — the
-    /// *current* coordinator may come back on this address.
-    Fenced,
-    Dead,
 }
 
 /// The codec advertisement bitmask for a preference: JSON is always on
@@ -416,275 +315,6 @@ pub(crate) fn advertised_codecs(prefer: WireCodec) -> u8 {
         WireCodec::Json => CODEC_JSON_BIT,
         WireCodec::Binary => CODEC_ALL,
     }
-}
-
-/// Send `Hello`, wait briefly for the coordinator's verdict. On accept,
-/// the transport's write codec is switched to the negotiated one.
-pub(crate) fn handshake(
-    transport: &mut Transport,
-    node: usize,
-    procs: usize,
-    version: u32,
-    last_epoch: u64,
-    codecs: u8,
-) -> Handshake {
-    let hello = WireMsg::Hello {
-        node,
-        procs,
-        version,
-        last_epoch,
-        codecs,
-    };
-    if transport.send(&hello).is_err() || transport.flush().is_err() {
-        return Handshake::Dead;
-    }
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while Instant::now() < deadline {
-        match transport.fill() {
-            Ok(FillStatus::Eof) | Err(_) => return Handshake::Dead,
-            Ok(_) => {}
-        }
-        loop {
-            match transport.next_msg() {
-                Ok(Some(WireMsg::HelloAck {
-                    accepted: true,
-                    epoch,
-                    codec,
-                    ..
-                })) => {
-                    if epoch < last_epoch {
-                        // An old-build coordinator (epoch 0) — or a
-                        // stale one that doesn't know to refuse us.
-                        // Either way, not the coordinator we last
-                        // obeyed: fence it ourselves.
-                        return Handshake::Fenced;
-                    }
-                    // An unknown codec id from a newer peer degrades to
-                    // JSON — the floor both sides always speak.
-                    let chosen = WireCodec::from_id(codec);
-                    transport.set_codec(chosen);
-                    return Handshake::Accepted(epoch, chosen);
-                }
-                Ok(Some(WireMsg::HelloAck {
-                    accepted: false,
-                    version: their_version,
-                    epoch,
-                    ..
-                })) => {
-                    if their_version == version && epoch < last_epoch {
-                        return Handshake::Fenced;
-                    }
-                    return Handshake::RefusedVersion;
-                }
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(_) => return Handshake::Dead,
-            }
-        }
-    }
-    Handshake::Dead
-}
-
-fn agent_loop(
-    mut node: ClusterNode,
-    addr: &str,
-    config: AgentConfig,
-    flags: Arc<Flags>,
-    stats: Arc<AgentStats>,
-) -> AgentReport {
-    let node_id = node.id;
-    let procs = node.machine().num_cores();
-    let mut report = AgentReport {
-        node: node_id,
-        summaries_sent: 0,
-        ceilings_applied: 0,
-        reconnects: 0,
-        epochs_fenced: 0,
-        version_rejected: false,
-        final_power_w: 0.0,
-    };
-    let mut ladder = ReconnectLadder::new(
-        config.backoff_base,
-        config.backoff_max,
-        config.jitter_seed ^ (node_id as u64).wrapping_mul(0x517C_C1B7_2722_0A95),
-    );
-    let mut ever_connected = false;
-    // Highest coordinator epoch ever acknowledged: the fence.
-    let mut last_epoch = 0u64;
-    let chaos_start = Instant::now();
-    let mut connect_seq = 0u64;
-    let fence = |report: &mut AgentReport| {
-        report.epochs_fenced += 1;
-        stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-    };
-
-    'outer: loop {
-        if flags.stop.load(Ordering::SeqCst) || flags.kill.load(Ordering::SeqCst) {
-            break;
-        }
-        let raw = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(_) => {
-                // The reconnect ladder: jittered base, 2×, 4×, … cap.
-                interruptible_sleep(ladder.next_delay(), &flags);
-                continue;
-            }
-        };
-        connect_seq += 1;
-        let stream = ChaosStream::wrap(
-            raw,
-            &config.chaos,
-            ChaosSide::Agent,
-            connect_seq,
-            chaos_start,
-            config.telemetry.clone(),
-            None,
-        );
-        stream.set_node(node_id);
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(1)));
-        let mut transport = Transport::new(stream);
-        match handshake(
-            &mut transport,
-            node_id,
-            procs,
-            config.version,
-            last_epoch,
-            advertised_codecs(config.codec),
-        ) {
-            Handshake::Accepted(epoch, codec) => {
-                last_epoch = epoch;
-                stats.codec_id.store(codec.id() as u64, Ordering::SeqCst);
-            }
-            Handshake::RefusedVersion => {
-                // A version refusal is permanent: retrying with the
-                // same schema can never succeed, so don't storm.
-                report.version_rejected = true;
-                break 'outer;
-            }
-            Handshake::Fenced => {
-                fence(&mut report);
-                interruptible_sleep(ladder.next_delay(), &flags);
-                continue;
-            }
-            Handshake::Dead => {
-                interruptible_sleep(ladder.next_delay(), &flags);
-                continue;
-            }
-        }
-        if ever_connected {
-            report.reconnects += 1;
-            stats.reconnects.fetch_add(1, Ordering::SeqCst);
-        }
-        ever_connected = true;
-        stats.connected.store(true, Ordering::SeqCst);
-        ladder.reset();
-
-        let mut ticks = 0u32;
-        // Dead-link detection: any frame (ceiling or heartbeat) feeds
-        // this; silence past `link_timeout` forces a reconnect.
-        let mut last_rx = Instant::now();
-        // Real-time mode: anchor the pacer at connection time so every
-        // tick lands on an absolute deadline from here on out.
-        let mut pacer = config
-            .timed
-            .then(|| Pacer::new(Duration::from_secs_f64(config.tick_s)));
-        loop {
-            if flags.kill.load(Ordering::SeqCst) {
-                // Crash: no Bye, the socket just stops.
-                break 'outer;
-            }
-            if flags.stop.load(Ordering::SeqCst) {
-                transport.send_best_effort(&WireMsg::Bye { node: node_id });
-                break 'outer;
-            }
-
-            node.tick(config.tick_s);
-            ticks += 1;
-            if ticks.is_multiple_of(config.summary_every) {
-                let summary = node.summarize();
-                stats
-                    .power_bits
-                    .store(summary.power_w.to_bits(), Ordering::SeqCst);
-                if transport.send(&WireMsg::Summary(summary)).is_err() || transport.flush().is_err()
-                {
-                    // Link dropped mid-summary: climb the ladder.
-                    break;
-                }
-                report.summaries_sent += 1;
-                stats.summaries_sent.fetch_add(1, Ordering::SeqCst);
-            } else {
-                // Keep chaos-delayed frames moving between summaries.
-                if transport.flush().is_err() {
-                    break;
-                }
-            }
-
-            // Drain whatever ceilings arrived; the 1 ms read timeout
-            // doubles as pacing slack.
-            let mut link_dead = false;
-            match transport.fill() {
-                Ok(FillStatus::Eof) => link_dead = true, // coordinator went away
-                Ok(FillStatus::Progress) => {
-                    last_rx = Instant::now();
-                    loop {
-                        match transport.next_msg() {
-                            Ok(Some(WireMsg::Ceiling(cmd))) => {
-                                if cmd.node == node_id {
-                                    let _apply = config.tracer.span("node.apply");
-                                    node.apply(&cmd.freqs);
-                                    report.ceilings_applied += 1;
-                                    stats.ceilings_applied.fetch_add(1, Ordering::SeqCst);
-                                }
-                            }
-                            Ok(Some(WireMsg::Heartbeat { epoch })) => {
-                                if epoch < last_epoch {
-                                    // A stale coordinator is feeding
-                                    // this link: fence mid-connection.
-                                    fence(&mut report);
-                                    link_dead = true;
-                                    break;
-                                }
-                                last_epoch = epoch;
-                            }
-                            Ok(Some(_)) => {}
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Desynchronised downlink: reconnect.
-                                link_dead = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                Ok(FillStatus::Idle) => {}
-                Err(_) => link_dead = true,
-            }
-            if last_rx.elapsed() > config.link_timeout {
-                link_dead = true;
-            }
-            if link_dead {
-                break;
-            }
-
-            if let Some(pacer) = pacer.as_mut() {
-                pacer.pace();
-            } else if !config.pace.is_zero() {
-                std::thread::sleep(config.pace);
-            }
-        }
-        // Only reachable when the link dropped (exits via 'outer skip
-        // this): reflect the disconnect before climbing the ladder.
-        stats.connected.store(false, Ordering::SeqCst);
-        stats.codec_id.store(0, Ordering::SeqCst);
-    }
-
-    stats.connected.store(false, Ordering::SeqCst);
-    report.final_power_w = node.power_w();
-    stats
-        .power_bits
-        .store(report.final_power_w.to_bits(), Ordering::SeqCst);
-    report
 }
 
 #[cfg(test)]

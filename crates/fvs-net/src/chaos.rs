@@ -1,27 +1,38 @@
 //! Wire-level chaos injection: [`ChaosStream`] wraps a `TcpStream` and
 //! enforces a [`WireFaultPlan`] on it.
 //!
-//! Faults are injected at *write* granularity — in this codebase every
-//! `write_all` call carries exactly one encoded frame, so per-frame
-//! drop / delay / duplication / corruption / reset rates apply cleanly.
-//! Each endpoint wraps its own socket, which covers both directions:
-//! the agent's writes are the uplink, the coordinator's writes are the
-//! downlink. Scripted partitions additionally blackhole the *read*
-//! path, so a one-way partition behaves like the real thing: an
-//! uplink-dead node keeps receiving commands it can never acknowledge,
-//! a downlink-dead node keeps reporting while ignoring every ceiling.
+//! Faults are injected at *frame* granularity: [`Transport::send`]
+//! asks `ChaosStream::decide_write_fault` about each encoded frame
+//! before queueing it, so per-frame drop / delay / duplication /
+//! corruption / reset rates apply cleanly and a partial nonblocking
+//! write retried later never re-rolls the dice. Each endpoint wraps its
+//! own socket, which covers both directions: the agent's writes are
+//! the uplink, the coordinator's writes are the downlink. Scripted
+//! partitions additionally blackhole the *read* path
+//! ([`Transport::fill`] reads through `ChaosStream::read`), so a
+//! one-way partition behaves like the real thing: an uplink-dead node
+//! keeps receiving commands it can never acknowledge, a downlink-dead
+//! node keeps reporting while ignoring every ceiling.
+//!
+//! The fault state is plain fields: each connection has exactly one
+//! owner (its [`Transport`], driven by one reactor thread), so nothing
+//! is shared or locked. Chaos-delayed frames wait in the transport's
+//! own delay queue.
 //!
 //! Determinism: same plan + same seed + same frame sequence → the same
 //! fault decisions, exactly like [`fvs_faults::FaultInjector`]. A quiet
 //! plan builds no injection state at all — reads and writes forward
 //! straight to the inner stream, byte-identically (the differential
 //! test in this module proves it).
+//!
+//! [`Transport`]: crate::transport::Transport
+//! [`Transport::send`]: crate::transport::Transport::send
+//! [`Transport::fill`]: crate::transport::Transport::fill
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fvs_faults::WireFaultPlan;
@@ -82,11 +93,9 @@ struct ChaosCore {
     start: Instant,
     /// Node this connection belongs to (`NODE_UNKNOWN` pre-hello; the
     /// coordinator learns it from the hello and calls `set_node`).
-    node: AtomicUsize,
-    rng: Mutex<StdRng>,
-    /// Frames held back by delay faults, with their due times.
-    pending: Mutex<Vec<(Instant, Vec<u8>)>>,
-    injected: AtomicU64,
+    node: usize,
+    rng: StdRng,
+    injected: u64,
     telemetry: Telemetry,
     counter: Option<Arc<Counter>>,
 }
@@ -96,29 +105,24 @@ impl ChaosCore {
         self.start.elapsed().as_secs_f64()
     }
 
-    fn node(&self) -> usize {
-        self.node.load(Ordering::Relaxed)
-    }
-
-    /// Record one injected fault: the atomic count, the optional
+    /// Record one injected fault: the count, the optional
     /// `net.wire_faults_injected` counter, and a `wire_fault` journal
     /// event flagged `injected` (distinguishing it from organic
     /// corruption the frame decoder reports). `frame_len`/`codec` are
     /// the size and sniffed codec of the frame the fault hit (0 when
     /// no frame was in hand, e.g. a blackholed read).
-    fn note(&self, kind: WireFaultKind, frame_len: u32, codec: u8) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
+    fn note(&mut self, kind: WireFaultKind, frame_len: u32, codec: u8) {
+        self.injected += 1;
         if let Some(c) = &self.counter {
             c.inc();
         }
         if self.telemetry.enabled() {
-            let node = self.node();
             self.telemetry.emit(SchedEvent::WireFault {
                 t_s: self.now_s(),
-                node: if node == NODE_UNKNOWN {
+                node: if self.node == NODE_UNKNOWN {
                     u32::MAX
                 } else {
-                    node as u32
+                    self.node as u32
                 },
                 kind,
                 injected: true,
@@ -128,16 +132,15 @@ impl ChaosCore {
         }
     }
 
-    fn fires(&self, rng: &mut StdRng, rate: f64) -> bool {
-        rate > 0.0 && rng.gen::<f64>() < rate
+    fn fires(&mut self, rate: f64) -> bool {
+        rate > 0.0 && self.rng.gen::<f64>() < rate
     }
 
     /// Whether a scripted partition blackholes this stream's writes
     /// right now, and the event kind to report if so.
     fn write_partition(&self, now_s: f64) -> Option<WireFaultKind> {
-        let node = self.node();
         for p in &self.plan.partitions {
-            if !p.active(node, now_s) {
+            if !p.active(self.node, now_s) {
                 continue;
             }
             let (blocked, kind) = match self.side {
@@ -156,9 +159,8 @@ impl ChaosCore {
     /// Whether a scripted partition blackholes this stream's reads
     /// right now, and the event kind to report if so.
     fn read_partition(&self, now_s: f64) -> Option<WireFaultKind> {
-        let node = self.node();
         for p in &self.plan.partitions {
-            if !p.active(node, now_s) {
+            if !p.active(self.node, now_s) {
                 continue;
             }
             let (blocked, kind) = match self.side {
@@ -170,27 +172,6 @@ impl ChaosCore {
             }
         }
         None
-    }
-
-    /// Deliver delayed frames whose hold has expired. Called
-    /// opportunistically from both paths, so a busy stream drains its
-    /// queue promptly.
-    fn flush_due(&self, inner: &mut TcpStream) -> io::Result<()> {
-        let mut pending = self.pending.lock().unwrap();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let now = Instant::now();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].0 <= now {
-                let (_, frame) = pending.remove(i);
-                inner.write_all(&frame)?;
-            } else {
-                i += 1;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -211,15 +192,10 @@ fn sniff_frame(buf: &[u8]) -> (u32, u8) {
     (len, codec)
 }
 
-/// The fault a [`ChaosStream`] decided to apply to one outgoing frame.
-///
-/// The blocking [`Write`] impl applies these internally; the
-/// nonblocking `Transport` asks for the decision up front (via
-/// [`ChaosStream::decide_write_fault`]) and applies it at enqueue time,
-/// because a partial write under `WouldBlock` cannot be retried through
-/// a wrapper that re-rolls fault dice per call.
+/// The fault a [`ChaosStream`] decided to apply to one outgoing frame;
+/// the transport applies it at enqueue time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteFault {
+pub(crate) enum WriteFault {
     /// Write the frame as-is.
     Deliver,
     /// Pretend success, send nothing (drop faults and active partition
@@ -240,13 +216,13 @@ pub enum WriteFault {
 ///
 /// Built from a quiet plan it holds no injection state: every read and
 /// write forwards directly to the inner stream (byte-identical — the
-/// acceptance differential test). Clones share the fault state, so the
-/// coordinator's reader and writer halves of one connection see one
-/// coherent fault stream.
+/// acceptance differential test). Hand it to
+/// [`Transport::new`](crate::transport::Transport::new), which owns it
+/// for the life of the connection.
 #[derive(Debug)]
 pub struct ChaosStream {
     inner: TcpStream,
-    core: Option<Arc<ChaosCore>>,
+    core: Option<ChaosCore>,
 }
 
 impl ChaosStream {
@@ -276,47 +252,30 @@ impl ChaosStream {
         let seed = chaos.seed ^ SEED_MIX ^ stream_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ChaosStream {
             inner,
-            core: Some(Arc::new(ChaosCore {
+            core: Some(ChaosCore {
                 plan: chaos.plan.clone(),
                 side,
                 start,
-                node: AtomicUsize::new(NODE_UNKNOWN),
-                rng: Mutex::new(StdRng::seed_from_u64(seed)),
-                pending: Mutex::new(Vec::new()),
-                injected: AtomicU64::new(0),
+                node: NODE_UNKNOWN,
+                rng: StdRng::seed_from_u64(seed),
+                injected: 0,
                 telemetry,
                 counter,
-            })),
+            }),
         }
     }
 
-    /// Name the node this connection belongs to (the coordinator calls
-    /// this once the hello arrives; partitions target nodes by index).
-    pub fn set_node(&self, node: usize) {
-        if let Some(core) = &self.core {
-            core.node.store(node, Ordering::Relaxed);
+    /// Name the node this connection belongs to (partitions target
+    /// nodes by index; the coordinator learns it from the hello).
+    pub fn set_node(&mut self, node: usize) {
+        if let Some(core) = &mut self.core {
+            core.node = node;
         }
     }
 
-    /// Injected faults so far on this stream (shared across clones).
+    /// Injected faults so far on this stream.
     pub fn injected(&self) -> u64 {
-        self.core
-            .as_ref()
-            .map(|c| c.injected.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Clone sharing both the socket and the fault state.
-    pub fn try_clone(&self) -> io::Result<ChaosStream> {
-        Ok(ChaosStream {
-            inner: self.inner.try_clone()?,
-            core: self.core.clone(),
-        })
-    }
-
-    /// Passthrough to [`TcpStream::set_read_timeout`].
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        self.inner.set_read_timeout(dur)
+        self.core.as_ref().map_or(0, |c| c.injected)
     }
 
     /// Passthrough to [`TcpStream::set_nonblocking`].
@@ -324,13 +283,18 @@ impl ChaosStream {
         self.inner.set_nonblocking(on)
     }
 
-    /// Decide what fault (if any) hits one outgoing frame, drawing the
-    /// same RNG sequence the blocking [`Write`] path would — plan +
-    /// seed + frame sequence determinism holds across both paths. The
-    /// fault is journaled here; the caller applies the decision. On
-    /// [`WriteFault::Reset`] the socket has already been shut down.
-    pub fn decide_write_fault(&mut self, frame: &[u8]) -> WriteFault {
-        let Some(core) = self.core.clone() else {
+    /// Passthrough to [`TcpStream::set_nodelay`].
+    pub fn set_nodelay(&self, on: bool) -> io::Result<()> {
+        self.inner.set_nodelay(on)
+    }
+
+    /// Decide what fault (if any) hits one outgoing frame, checked in
+    /// severity order: partition, reset, drop, corrupt, duplicate,
+    /// delay — at most one class per frame. The fault is journaled
+    /// here; the caller applies the decision. On [`WriteFault::Reset`]
+    /// the socket has already been shut down.
+    pub(crate) fn decide_write_fault(&mut self, frame: &[u8]) -> WriteFault {
+        let Some(core) = &mut self.core else {
             return WriteFault::Deliver;
         };
         let (len, codec) = sniff_frame(frame);
@@ -338,151 +302,71 @@ impl ChaosStream {
             core.note(kind, len, codec);
             return WriteFault::Drop;
         }
-        let decision = {
-            let mut rng = core.rng.lock().unwrap();
-            if core.fires(&mut rng, core.plan.reset_rate) {
-                Some(WireFaultKind::Reset)
-            } else if core.fires(&mut rng, core.plan.drop_rate) {
-                Some(WireFaultKind::Drop)
-            } else if core.fires(&mut rng, core.plan.corrupt_rate) {
-                Some(WireFaultKind::Corrupt)
-            } else if core.fires(&mut rng, core.plan.duplicate_rate) {
-                Some(WireFaultKind::Duplicate)
-            } else if core.fires(&mut rng, core.plan.delay_rate) {
-                Some(WireFaultKind::Delay)
-            } else {
-                None
-            }
+        let plan = &core.plan;
+        let rates = [
+            (plan.reset_rate, WireFaultKind::Reset),
+            (plan.drop_rate, WireFaultKind::Drop),
+            (plan.corrupt_rate, WireFaultKind::Corrupt),
+            (plan.duplicate_rate, WireFaultKind::Duplicate),
+            (plan.delay_rate, WireFaultKind::Delay),
+        ];
+        let Some(kind) = rates
+            .into_iter()
+            .find_map(|(rate, kind)| core.fires(rate).then_some(kind))
+        else {
+            return WriteFault::Deliver;
         };
-        match decision {
-            Some(WireFaultKind::Reset) => {
-                core.note(WireFaultKind::Reset, len, codec);
+        core.note(kind, len, codec);
+        match kind {
+            WireFaultKind::Reset => {
                 let _ = self.inner.shutdown(Shutdown::Both);
                 WriteFault::Reset
             }
-            Some(WireFaultKind::Drop) => {
-                core.note(WireFaultKind::Drop, len, codec);
-                WriteFault::Drop
+            WireFaultKind::Drop => WriteFault::Drop,
+            WireFaultKind::Corrupt => {
+                let mut bytes = frame.to_vec();
+                if core.rng.gen::<f64>() < 0.5 && bytes.len() > 1 {
+                    // Truncate: the tail never arrives.
+                    let keep = core.rng.gen_range(1..bytes.len());
+                    bytes.truncate(keep);
+                } else if !bytes.is_empty() {
+                    // Flip one bit somewhere in the frame.
+                    let at = core.rng.gen_range(0..bytes.len());
+                    let bit = core.rng.gen_range(0u32..8);
+                    bytes[at] ^= 1 << bit;
+                }
+                WriteFault::Corrupt(bytes)
             }
-            Some(WireFaultKind::Corrupt) => {
-                core.note(WireFaultKind::Corrupt, len, codec);
-                let corrupted = {
-                    let mut rng = core.rng.lock().unwrap();
-                    let mut bytes = frame.to_vec();
-                    if rng.gen::<f64>() < 0.5 && bytes.len() > 1 {
-                        // Truncate: the tail never arrives.
-                        let keep = rng.gen_range(1..bytes.len());
-                        bytes.truncate(keep);
-                    } else if !bytes.is_empty() {
-                        // Flip one bit somewhere in the frame.
-                        let at = rng.gen_range(0..bytes.len());
-                        let bit = rng.gen_range(0u32..8);
-                        bytes[at] ^= 1 << bit;
-                    }
-                    bytes
-                };
-                WriteFault::Corrupt(corrupted)
-            }
-            Some(WireFaultKind::Duplicate) => {
-                core.note(WireFaultKind::Duplicate, len, codec);
-                WriteFault::Duplicate
-            }
-            Some(WireFaultKind::Delay) => {
-                core.note(WireFaultKind::Delay, len, codec);
-                WriteFault::Delay(Duration::from_secs_f64(core.plan.delay_s.max(0.0)))
-            }
-            _ => WriteFault::Deliver,
+            WireFaultKind::Duplicate => WriteFault::Duplicate,
+            // Delay, the table's last entry.
+            _ => WriteFault::Delay(Duration::from_secs_f64(core.plan.delay_s.max(0.0))),
         }
     }
 
-    /// One raw `write` on the inner socket — no fault logic, no
-    /// `write_all` loop. The nonblocking `Transport` uses this to
-    /// drain its queue, tracking partial-write offsets itself.
-    pub fn write_raw(&mut self, buf: &[u8]) -> io::Result<usize> {
+    /// One raw `write` on the inner socket — no fault logic (the
+    /// decision was taken at enqueue time), no `write_all` loop: the
+    /// transport tracks partial-write offsets itself.
+    pub(crate) fn write_raw(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.inner.write(buf)
     }
 
-    /// Passthrough to [`TcpStream::set_nodelay`].
-    pub fn set_nodelay(&self, on: bool) -> io::Result<()> {
-        self.inner.set_nodelay(on)
-    }
-
-    /// Passthrough to [`TcpStream::shutdown`].
-    pub fn shutdown(&self, how: Shutdown) -> io::Result<()> {
-        self.inner.shutdown(how)
-    }
-
-    /// Passthrough to [`TcpStream::peer_addr`].
-    pub fn peer_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.inner.peer_addr()
-    }
-}
-
-impl Read for ChaosStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let Some(core) = self.core.clone() else {
-            return self.inner.read(buf);
-        };
-        // Opportunistically deliver delayed frames (best effort — a
-        // closed peer surfaces on the next real write).
-        let _ = core.flush_due(&mut self.inner);
+    /// One `read` on the inner socket. While a scripted partition
+    /// blackholes this direction, the bytes read are discarded and the
+    /// call reports `WouldBlock`, as if nothing had arrived.
+    pub(crate) fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
         if n > 0 {
-            if let Some(kind) = core.read_partition(core.now_s()) {
-                // Drain-and-discard: the bytes vanish as if the link
-                // were down, and the caller sees its usual timeout.
-                core.note(kind, 0, 0);
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "chaos partition blackholed the read",
-                ));
+            if let Some(core) = &mut self.core {
+                if let Some(kind) = core.read_partition(core.now_s()) {
+                    core.note(kind, 0, 0);
+                    return Err(io::Error::new(
+                        io::ErrorKind::WouldBlock,
+                        "chaos partition blackholed the read",
+                    ));
+                }
             }
         }
         Ok(n)
-    }
-}
-
-impl Write for ChaosStream {
-    /// One call = one frame. Always consumes the whole buffer (so the
-    /// caller's `write_all` issues exactly one call per frame) and
-    /// applies at most one fault class per frame, checked in severity
-    /// order: partition, reset, drop, corrupt, duplicate, delay. The
-    /// decision comes from [`ChaosStream::decide_write_fault`], so the
-    /// blocking and nonblocking paths share one fault stream.
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let Some(core) = self.core.clone() else {
-            return self.inner.write(buf);
-        };
-        core.flush_due(&mut self.inner)?;
-        match self.decide_write_fault(buf) {
-            WriteFault::Deliver => {
-                self.inner.write_all(buf)?;
-                Ok(buf.len())
-            }
-            WriteFault::Drop => Ok(buf.len()), // blackholed or dropped
-            WriteFault::Corrupt(bytes) => {
-                self.inner.write_all(&bytes)?;
-                Ok(buf.len())
-            }
-            WriteFault::Duplicate => {
-                self.inner.write_all(buf)?;
-                self.inner.write_all(buf)?;
-                Ok(buf.len())
-            }
-            WriteFault::Delay(hold) => {
-                let due = Instant::now() + hold;
-                core.pending.lock().unwrap().push((due, buf.to_vec()));
-                Ok(buf.len())
-            }
-            WriteFault::Reset => Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "chaos reset the connection",
-            )),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -495,20 +379,45 @@ impl AsRawFd for ChaosStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{FillStatus, Transport};
+    use crate::wire::{encode_with, WireCodec, WireMsg};
     use std::net::TcpListener;
 
+    /// A connected loopback pair; both ends carry a 5 s read timeout so
+    /// a missing frame fails the test instead of hanging it.
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
+        for s in [&client, &server] {
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        }
         (client, server)
     }
 
-    fn read_exact_with_timeout(stream: &mut TcpStream, n: usize) -> Vec<u8> {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+    fn chaos_transport(
+        raw: TcpStream,
+        chaos: &WireChaos,
+        side: ChaosSide,
+        start: Instant,
+        telemetry: Telemetry,
+    ) -> Transport {
+        Transport::new(ChaosStream::wrap(
+            raw, chaos, side, 0, start, telemetry, None,
+        ))
+    }
+
+    fn send(tx: &mut Transport, msg: &WireMsg) {
+        tx.send(msg).unwrap();
+        tx.flush().unwrap();
+    }
+
+    fn frame(msg: &WireMsg) -> Vec<u8> {
+        encode_with(msg, WireCodec::Json).unwrap()
+    }
+
+    fn read_exact(stream: &mut TcpStream, n: usize) -> Vec<u8> {
         let mut out = vec![0u8; n];
         stream.read_exact(&mut out).unwrap();
         out
@@ -518,35 +427,32 @@ mod tests {
     /// byte-identical to the bare stream, frame for frame.
     #[test]
     fn quiet_chaos_stream_is_byte_identical_to_bare() {
-        let frames: Vec<Vec<u8>> = (0u8..50)
-            .map(|i| (0..=i).map(|b| b.wrapping_mul(7) ^ i).collect())
+        let msgs: Vec<WireMsg> = (0u64..50)
+            .map(|i| WireMsg::Heartbeat { epoch: i * i * 7 })
             .collect();
-        let total: usize = frames.iter().map(|f| f.len()).sum();
+        let total: usize = msgs.iter().map(|m| frame(m).len()).sum();
 
-        let (bare_tx, mut bare_rx) = pair();
-        let mut bare_tx = bare_tx;
-        for f in &frames {
-            bare_tx.write_all(f).unwrap();
+        let (mut bare_tx, mut bare_rx) = pair();
+        for m in &msgs {
+            bare_tx.write_all(&frame(m)).unwrap();
         }
-        let bare_bytes = read_exact_with_timeout(&mut bare_rx, total);
+        let bare_bytes = read_exact(&mut bare_rx, total);
 
         let (chaos_tx, mut chaos_rx) = pair();
-        let mut chaos_tx = ChaosStream::wrap(
+        let mut chaos_tx = chaos_transport(
             chaos_tx,
             &WireChaos::none(),
             ChaosSide::Agent,
-            0,
             Instant::now(),
             Telemetry::disabled(),
-            None,
         );
-        for f in &frames {
-            chaos_tx.write_all(f).unwrap();
+        for m in &msgs {
+            send(&mut chaos_tx, m);
         }
-        let chaos_bytes = read_exact_with_timeout(&mut chaos_rx, total);
+        let chaos_bytes = read_exact(&mut chaos_rx, total);
 
         assert_eq!(bare_bytes, chaos_bytes);
-        assert_eq!(chaos_tx.injected(), 0);
+        assert_eq!(chaos_tx.stream().injected(), 0);
     }
 
     /// Same plan + same seed + same frames → the same surviving byte
@@ -561,21 +467,18 @@ mod tests {
         };
         let run = |seed: u64| -> (Vec<u8>, u64) {
             let (tx, mut rx) = pair();
-            let mut tx = ChaosStream::wrap(
+            let mut tx = chaos_transport(
                 tx,
                 &WireChaos::new(plan.clone(), seed),
                 ChaosSide::Agent,
-                7,
                 Instant::now(),
                 Telemetry::disabled(),
-                None,
             );
-            for i in 0u8..100 {
-                tx.write_all(&[i; 8]).unwrap();
+            for i in 0u64..100 {
+                send(&mut tx, &WireMsg::Heartbeat { epoch: i });
             }
-            let injected = tx.injected();
+            let injected = tx.stream().injected();
             drop(tx);
-            rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             let mut bytes = Vec::new();
             let _ = rx.read_to_end(&mut bytes);
             (bytes, injected)
@@ -596,25 +499,85 @@ mod tests {
         let plan = WireFaultPlan::parse("partition_up=3@0:0.2").unwrap();
         let start = Instant::now();
         let (tx, mut rx) = pair();
-        let tx_raw = tx;
-        let mut tx = ChaosStream::wrap(
-            tx_raw,
+        let mut tx = chaos_transport(
+            tx,
             &WireChaos::new(plan, 1),
             ChaosSide::Agent,
-            0,
             start,
             Telemetry::disabled(),
-            None,
         );
         tx.set_node(3);
-        tx.write_all(b"gone").unwrap(); // inside the window: blackholed
-        assert!(tx.injected() >= 1);
+        // Inside the window: blackholed.
+        send(&mut tx, &WireMsg::Heartbeat { epoch: 1 });
+        assert!(tx.stream().injected() >= 1);
         while start.elapsed() < Duration::from_millis(250) {
             std::thread::sleep(Duration::from_millis(10));
         }
-        tx.write_all(b"back").unwrap(); // healed
-        let bytes = read_exact_with_timeout(&mut rx, 4);
-        assert_eq!(&bytes, b"back");
+        let back = WireMsg::Heartbeat { epoch: 2 };
+        send(&mut tx, &back); // healed
+        let expected = frame(&back);
+        assert_eq!(read_exact(&mut rx, expected.len()), expected);
+    }
+
+    /// A downlink partition window blackholes the agent's reads —
+    /// `fill` sees nothing, the fault is journaled — and heals
+    /// afterwards.
+    #[test]
+    fn downlink_partition_blackholes_agent_reads_then_heals() {
+        let telemetry = Telemetry::memory(64);
+        let plan = WireFaultPlan::parse("partition_down=3@0:0.2").unwrap();
+        let start = Instant::now();
+        let (agent, mut coordinator) = pair();
+        // `fill` reads until the socket runs dry: keep that wait short.
+        agent
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let mut rx = chaos_transport(
+            agent,
+            &WireChaos::new(plan, 1),
+            ChaosSide::Agent,
+            start,
+            telemetry.clone(),
+        );
+        rx.set_node(3);
+        coordinator
+            .write_all(&frame(&WireMsg::Heartbeat { epoch: 1 }))
+            .unwrap();
+        let blackholed = || {
+            telemetry.events().iter().any(|e| {
+                matches!(
+                    e,
+                    SchedEvent::WireFault {
+                        node: 3,
+                        kind: WireFaultKind::PartitionDown,
+                        injected: true,
+                        ..
+                    }
+                )
+            })
+        };
+        while !blackholed() {
+            assert!(
+                start.elapsed() < Duration::from_millis(150),
+                "read never blackholed"
+            );
+            assert_ne!(rx.fill().unwrap(), FillStatus::Eof);
+        }
+        assert_eq!(rx.next_msg().unwrap(), None, "blackholed bytes were parsed");
+        while start.elapsed() < Duration::from_millis(250) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let back = WireMsg::Heartbeat { epoch: 2 };
+        coordinator.write_all(&frame(&back)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let got = loop {
+            assert_ne!(rx.fill().unwrap(), FillStatus::Eof);
+            if let Some(msg) = rx.next_msg().unwrap() {
+                break msg;
+            }
+            assert!(Instant::now() < deadline, "healed link delivered nothing");
+        };
+        assert_eq!(got, back);
     }
 
     /// A delayed frame is held and delivered late, not lost.
@@ -626,23 +589,22 @@ mod tests {
             ..WireFaultPlan::none()
         };
         let (tx, mut rx) = pair();
-        let mut tx = ChaosStream::wrap(
+        let mut tx = chaos_transport(
             tx,
             &WireChaos::new(plan, 5),
             ChaosSide::Agent,
-            0,
             Instant::now(),
             Telemetry::disabled(),
-            None,
         );
-        tx.write_all(b"held").unwrap();
+        let held = WireMsg::Heartbeat { epoch: 1 };
+        send(&mut tx, &held);
         std::thread::sleep(Duration::from_millis(80));
-        // The next write flushes the due queue first (and is itself
+        // The next flush delivers the due frame (the new one is itself
         // delayed in turn by the rate-1.0 plan).
-        tx.write_all(b"next").unwrap();
-        let bytes = read_exact_with_timeout(&mut rx, 4);
-        assert_eq!(&bytes, b"held");
-        assert_eq!(tx.injected(), 2, "both writes hit the delay fault");
+        send(&mut tx, &WireMsg::Heartbeat { epoch: 2 });
+        let expected = frame(&held);
+        assert_eq!(read_exact(&mut rx, expected.len()), expected);
+        assert_eq!(tx.stream().injected(), 2, "both sends hit the delay fault");
     }
 
     /// Injected faults are journaled as `wire_fault` events flagged
@@ -655,17 +617,15 @@ mod tests {
             ..WireFaultPlan::none()
         };
         let (tx, _rx) = pair();
-        let mut tx = ChaosStream::wrap(
+        let mut tx = chaos_transport(
             tx,
             &WireChaos::new(plan, 9),
             ChaosSide::Coordinator,
-            0,
             Instant::now(),
             telemetry.clone(),
-            None,
         );
         tx.set_node(2);
-        tx.write_all(b"x").unwrap();
+        send(&mut tx, &WireMsg::Heartbeat { epoch: 1 });
         let events = telemetry.events();
         assert!(events.iter().any(|e| matches!(
             e,

@@ -1,18 +1,31 @@
-//! The agent fleet: thousands of node agents on one thread.
+//! The agent state machine, multiplexed: node agents on one reactor
+//! thread.
 //!
-//! [`NodeAgent`](crate::agent::NodeAgent) spends a thread per node —
-//! honest for a handful of machines, hopeless for a 10k-connection
-//! soak on one box. [`AgentFleet`] runs every agent as a small state
-//! machine (connect-backoff → handshaking → running) multiplexed onto
-//! one [`Reactor`], with a timer heap driving wall-clock ticks: each
-//! running agent ticks its [`ClusterNode`] every `tick_s` of wall time
-//! (the fleet is always in real-time mode — that is what makes a soak
-//! against a live coordinator honest) and ships a summary every
-//! `summary_every` ticks over its [`Transport`]. Codec negotiation,
-//! epoch fencing, reconnect-ladder backoff and link timeouts behave
-//! exactly as in the threaded agent — same handshake code, same
-//! fencing rule — so the coordinator cannot tell a fleet member from a
-//! standalone agent.
+//! Every agent is a small state machine (connect-backoff → handshaking
+//! → running) driving one [`ClusterNode`]: tick the machine, close the
+//! measurement window every `summary_every` ticks, ship the summary
+//! upstream over its [`Transport`], and apply whatever frequency
+//! ceilings come back. [`AgentFleet`] runs any number of them on one
+//! [`Reactor`], with a timer heap driving ticks, handshake deadlines
+//! and reconnect backoff; a standalone
+//! [`NodeAgent`](crate::agent::NodeAgent) is a fleet of one. Each tick
+//! takes `pace` of wall time, or exactly `tick_s` in `timed` mode
+//! (drift-free deadlines — what makes a soak against a live
+//! coordinator honest).
+//!
+//! When the link drops, the agent reconnects through its
+//! [`ReconnectLadder`] while the machine keeps running at its
+//! last-commanded frequencies (exactly the mute-but-running scenario
+//! the coordinator's conservative charging defends against).
+//!
+//! Epoch fencing: each agent remembers the highest coordinator epoch
+//! it has ever acknowledged and refuses to serve a coordinator
+//! presenting a lower one — whether at handshake (a refused hello, or
+//! an ack carrying a stale epoch) or mid-connection (a stale
+//! heartbeat). A fenced coordinator is retried through the ladder,
+//! because the fence is about *which* coordinator is current, not a
+//! permanent protocol mismatch; only a schema-version refusal is
+//! terminal, and the fleet thread ends once every member has met one.
 //!
 //! Connects are staggered across a ramp window so 10k simultaneous SYNs
 //! don't blow the accept backlog, and the ramp doubles as tick phase
@@ -23,7 +36,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -38,7 +51,7 @@ use crate::transport::{FillStatus, Transport};
 use crate::wire::{WireCodec, WireMsg};
 
 /// How long a hello may wait for its ack before the connection is
-/// abandoned (matches the threaded agent's handshake deadline).
+/// abandoned.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(2);
 /// Per-attempt connect timeout: a coordinator that can't even complete
 /// the TCP handshake within this is treated as down.
@@ -51,10 +64,19 @@ const MAX_QUEUED_BYTES: usize = 1 << 20;
 /// can never starve the poller.
 const MAX_TIMERS_PER_ITER: usize = 1024;
 
-/// Live counters of a running fleet, updated by the fleet thread and
-/// readable from anywhere.
+/// Exit requests from the handle to the fleet thread.
+const RUN: u8 = 0;
+/// Orderly shutdown: running agents say `Bye`.
+const STOP: u8 = 1;
+/// Crash: the sockets just close, no goodbye.
+const KILL: u8 = 2;
+
+/// Live counters of running agents — a whole fleet, or the one agent
+/// of a [`NodeAgent`](crate::agent::NodeAgent). Updated by the fleet
+/// thread and readable from anywhere without joining it (the node
+/// binary's `/healthz` reads these).
 #[derive(Debug, Default)]
-pub struct FleetStats {
+pub struct AgentStats {
     connected: AtomicU64,
     summaries_sent: AtomicU64,
     ceilings_applied: AtomicU64,
@@ -64,20 +86,22 @@ pub struct FleetStats {
     connect_failures: AtomicU64,
     binary_conns: AtomicU64,
     json_conns: AtomicU64,
+    /// Summed node power as f64 bits.
+    power_bits: AtomicU64,
 }
 
-impl FleetStats {
+impl AgentStats {
     /// Agents currently past a successful handshake.
     pub fn connected(&self) -> u64 {
         self.connected.load(Ordering::SeqCst)
     }
 
-    /// Summaries shipped upstream across the fleet.
+    /// Summaries shipped upstream.
     pub fn summaries_sent(&self) -> u64 {
         self.summaries_sent.load(Ordering::SeqCst)
     }
 
-    /// Ceiling commands applied across the fleet.
+    /// Ceiling commands applied to the machines.
     pub fn ceilings_applied(&self) -> u64 {
         self.ceilings_applied.load(Ordering::SeqCst)
     }
@@ -87,7 +111,8 @@ impl FleetStats {
         self.reconnects.load(Ordering::SeqCst)
     }
 
-    /// Stale coordinators fenced across the fleet.
+    /// Stale coordinators fenced (handshake or heartbeat epoch below
+    /// the highest the agent has acknowledged).
     pub fn epochs_fenced(&self) -> u64 {
         self.epochs_fenced.load(Ordering::SeqCst)
     }
@@ -111,25 +136,52 @@ impl FleetStats {
     pub fn json_conns(&self) -> u64 {
         self.json_conns.load(Ordering::SeqCst)
     }
+
+    /// Summed power of the agents' nodes at their last summary window,
+    /// or at exit once the fleet has stopped (W).
+    pub fn power_w(&self) -> f64 {
+        f64::from_bits(self.power_bits.load(Ordering::SeqCst))
+    }
+
+    fn bump(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// Handle to a running fleet thread.
 pub struct FleetHandle {
-    stop: Arc<AtomicBool>,
-    stats: Arc<FleetStats>,
+    exit: Arc<AtomicU8>,
+    stats: Arc<AgentStats>,
     thread: JoinHandle<()>,
 }
 
 impl FleetHandle {
     /// The fleet's live counters.
-    pub fn stats(&self) -> Arc<FleetStats> {
+    pub fn stats(&self) -> Arc<AgentStats> {
         Arc::clone(&self.stats)
+    }
+
+    /// Whether the fleet thread has already exited on its own: every
+    /// member was refused for its schema version.
+    pub fn is_finished(&self) -> bool {
+        self.thread.is_finished()
     }
 
     /// Orderly shutdown: connected agents say `Bye`, the thread joins,
     /// and the final counters are returned.
-    pub fn stop(self) -> Arc<FleetStats> {
-        self.stop.store(true, Ordering::SeqCst);
+    pub fn stop(self) -> Arc<AgentStats> {
+        self.exit(STOP)
+    }
+
+    /// Crash every agent: the sockets just close, no goodbye — from
+    /// the coordinator's side this is indistinguishable from node
+    /// failure, which is the point. Returns the final counters.
+    pub fn kill(self) -> Arc<AgentStats> {
+        self.exit(KILL)
+    }
+
+    fn exit(self, how: u8) -> Arc<AgentStats> {
+        self.exit.store(how, Ordering::SeqCst);
         self.thread.join().expect("fleet thread panicked");
         self.stats
     }
@@ -143,7 +195,7 @@ enum Phase {
     /// Ticking and shipping summaries; the timer is the next tick.
     Running,
     /// Version-refused: permanently out of the game.
-    Dead,
+    Refused,
 }
 
 struct Slot {
@@ -153,11 +205,18 @@ struct Slot {
     gen: u64,
     token: Option<u64>,
     ladder: ReconnectLadder,
+    /// Highest coordinator epoch ever acknowledged: the fence.
     last_epoch: u64,
     ticks: u32,
+    /// Dead-link detection: any ceiling or heartbeat feeds this;
+    /// silence past `link_timeout` forces a reconnect.
     last_rx: Instant,
     ever_connected: bool,
     connect_seq: u64,
+    /// When a hello still without its ack is abandoned.
+    ack_deadline: Instant,
+    /// Node power at the last summary window (W).
+    power_w: f64,
 }
 
 /// Spawns and owns the one fleet thread. See the module docs.
@@ -172,6 +231,7 @@ impl AgentFleet {
         config: AgentConfig,
         ramp: Duration,
     ) -> Result<FleetHandle, FvsError> {
+        config.validate()?;
         if nodes.is_empty() {
             return Err(FvsError::config("a fleet needs at least one node"));
         }
@@ -179,427 +239,427 @@ impl AgentFleet {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| FvsError::config("fleet address resolved to nothing"))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(FleetStats::default());
-        let thread_stop = Arc::clone(&stop);
-        let thread_stats = Arc::clone(&stats);
+        let exit = Arc::new(AtomicU8::new(RUN));
+        let stats = Arc::new(AgentStats::default());
+        let mut fleet = Fleet::new(nodes, addr, config, ramp, Arc::clone(&stats))?;
+        let thread_exit = Arc::clone(&exit);
         let thread = std::thread::Builder::new()
             .name("fvs-fleet".into())
             .spawn(move || {
-                if let Err(e) = fleet_loop(nodes, addr, config, ramp, thread_stop, thread_stats) {
+                if let Err(e) = fleet.run(&thread_exit) {
                     eprintln!("fvs-fleet: reactor failed: {e}");
                 }
+                fleet.finish(thread_exit.load(Ordering::SeqCst) == STOP);
             })
             .map_err(FvsError::Io)?;
         Ok(FleetHandle {
-            stop,
+            exit,
             stats,
             thread,
         })
     }
 }
 
-fn fleet_loop(
-    nodes: Vec<ClusterNode>,
+/// The fleet thread's state: every agent's slot, the reactor holding
+/// their connections, and the timer heap driving them.
+struct Fleet {
     addr: SocketAddr,
     config: AgentConfig,
-    ramp: Duration,
-    stop: Arc<AtomicBool>,
-    stats: Arc<FleetStats>,
-) -> io::Result<()> {
-    let n = nodes.len();
-    let chaos_start = Instant::now();
-    let mut reactor: Reactor<usize> = Reactor::new()?;
-    let mut slots: Vec<Slot> = nodes
-        .into_iter()
-        .map(|node| {
-            let id = node.id as u64;
-            Slot {
-                node,
-                phase: Phase::Backoff,
-                gen: 0,
-                token: None,
-                ladder: ReconnectLadder::new(
-                    config.backoff_base,
-                    config.backoff_max,
-                    config.jitter_seed ^ id.wrapping_mul(0x517C_C1B7_2722_0A95),
-                ),
-                last_epoch: 0,
-                ticks: 0,
-                last_rx: chaos_start,
-                ever_connected: false,
-                connect_seq: 0,
-            }
+    /// Wall time per tick: `tick_s` in timed mode, `pace` otherwise.
+    tick_wall: Duration,
+    codecs: u8,
+    /// Anchor of the chaos partition clock, shared by every connection.
+    chaos_start: Instant,
+    stats: Arc<AgentStats>,
+    reactor: Reactor<usize>,
+    /// (due, slot index, generation) — min-heap via `Reverse`.
+    timers: BinaryHeap<Reverse<(Instant, usize, u64)>>,
+    slots: Vec<Slot>,
+    /// Slots in [`Phase::Refused`]; the thread ends when all are.
+    refused: usize,
+    /// Sum of the slots' `power_w`.
+    power_w: f64,
+}
+
+impl Fleet {
+    fn new(
+        nodes: Vec<ClusterNode>,
+        addr: SocketAddr,
+        config: AgentConfig,
+        ramp: Duration,
+        stats: Arc<AgentStats>,
+    ) -> io::Result<Fleet> {
+        let n = nodes.len();
+        let start = Instant::now();
+        let slots: Vec<Slot> = nodes
+            .into_iter()
+            .map(|node| {
+                let id = node.id as u64;
+                Slot {
+                    node,
+                    phase: Phase::Backoff,
+                    gen: 0,
+                    token: None,
+                    ladder: ReconnectLadder::new(
+                        config.backoff_base,
+                        config.backoff_max,
+                        config.jitter_seed ^ id.wrapping_mul(0x517C_C1B7_2722_0A95),
+                    ),
+                    last_epoch: 0,
+                    ticks: 0,
+                    last_rx: start,
+                    ever_connected: false,
+                    connect_seq: 0,
+                    ack_deadline: start,
+                    power_w: 0.0,
+                }
+            })
+            .collect();
+        let timers = (0..n)
+            .map(|i| Reverse((start + ramp.mul_f64(i as f64 / n as f64), i, 0)))
+            .collect();
+        Ok(Fleet {
+            addr,
+            tick_wall: if config.timed {
+                Duration::from_secs_f64(config.tick_s)
+            } else {
+                config.pace
+            },
+            codecs: advertised_codecs(config.codec),
+            config,
+            chaos_start: start,
+            stats,
+            reactor: Reactor::new()?,
+            timers,
+            slots,
+            refused: 0,
+            power_w: 0.0,
         })
-        .collect();
-
-    // (due, slot index, generation) — min-heap via Reverse.
-    let mut timers: BinaryHeap<Reverse<(Instant, usize, u64)>> = BinaryHeap::with_capacity(n);
-    let start = Instant::now();
-    for (i, slot) in slots.iter().enumerate() {
-        let at = start + ramp.mul_f64(i as f64 / n as f64);
-        timers.push(Reverse((at, i, slot.gen)));
     }
-    let tick_wall = Duration::from_secs_f64(config.tick_s);
-    let codecs = advertised_codecs(config.codec);
 
-    while !stop.load(Ordering::SeqCst) {
-        // Fire due timers (bounded per iteration; see the const).
+    fn run(&mut self, exit: &AtomicU8) -> io::Result<()> {
+        while exit.load(Ordering::SeqCst) == RUN && self.refused < self.slots.len() {
+            let fired = self.fire_timers();
+            // Sleep until the next timer (or not at all, if timers are
+            // backlogged) while watching for socket readiness.
+            let timeout = if fired >= MAX_TIMERS_PER_ITER {
+                Duration::ZERO
+            } else {
+                self.timers
+                    .peek()
+                    .map(|Reverse((when, _, _))| when.saturating_duration_since(Instant::now()))
+                    .unwrap_or(Duration::from_millis(50))
+                    .min(Duration::from_millis(50))
+            };
+            self.reactor.poll(Some(timeout))?;
+            let events = self.reactor.drain_events();
+            for ev in &events {
+                let Some((_, &mut idx)) = self.reactor.get_mut(ev.token) else {
+                    continue; // removed earlier this batch
+                };
+                if ev.readable || ev.hangup {
+                    self.read(idx);
+                }
+                if ev.writable {
+                    if let Some((transport, _)) = self.reactor.get_mut(ev.token) {
+                        if transport.flush().is_err() {
+                            self.disconnect(idx);
+                        } else {
+                            let _ = self.reactor.update_interest(ev.token);
+                        }
+                    }
+                }
+            }
+            self.reactor.recycle_events(events);
+        }
+        Ok(())
+    }
+
+    /// Fire due timers, at most [`MAX_TIMERS_PER_ITER`]; returns how
+    /// many fired.
+    fn fire_timers(&mut self) -> usize {
         let mut fired = 0usize;
         let now = Instant::now();
         while fired < MAX_TIMERS_PER_ITER {
-            let Some(&Reverse((when, idx, gen))) = timers.peek() else {
+            let Some(&Reverse((when, idx, gen))) = self.timers.peek() else {
                 break;
             };
             if when > now {
                 break;
             }
-            timers.pop();
-            if slots[idx].gen != gen {
+            self.timers.pop();
+            if self.slots[idx].gen != gen {
                 continue; // the slot changed phase since this was armed
             }
             fired += 1;
-            match slots[idx].phase {
-                Phase::Backoff => {
-                    connect_slot(
-                        idx,
-                        &mut slots[idx],
-                        addr,
-                        &config,
-                        codecs,
-                        chaos_start,
-                        &stats,
-                        &mut reactor,
-                        &mut timers,
-                    );
-                }
-                Phase::Handshaking => {
-                    // Hello went unanswered: give up on this socket.
-                    disconnect(idx, &mut slots[idx], &stats, &mut reactor, &mut timers);
-                }
-                Phase::Running => {
-                    run_tick(
-                        idx,
-                        &mut slots[idx],
-                        &config,
-                        tick_wall,
-                        when,
-                        &stats,
-                        &mut reactor,
-                        &mut timers,
-                    );
-                }
-                Phase::Dead => {}
+            match self.slots[idx].phase {
+                Phase::Backoff => self.connect(idx),
+                Phase::Handshaking => self.await_ack(idx),
+                Phase::Running => self.tick(idx, when),
+                Phase::Refused => {}
             }
         }
+        fired
+    }
 
-        // Sleep until the next timer (or briefly, if timers are
-        // backlogged) while watching for socket readiness.
-        let timeout = if fired >= MAX_TIMERS_PER_ITER {
-            Duration::ZERO
-        } else {
-            timers
-                .peek()
-                .map(|Reverse((when, _, _))| when.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(50))
-                .min(Duration::from_millis(50))
+    /// Leave the loop: on an orderly stop running agents say goodbye;
+    /// either way the counters show everyone disconnected and the
+    /// nodes' final power.
+    fn finish(&mut self, bye: bool) {
+        if bye {
+            for slot in &self.slots {
+                let (Phase::Running, Some(token)) = (&slot.phase, slot.token) else {
+                    continue;
+                };
+                if let Some((transport, _)) = self.reactor.get_mut(token) {
+                    transport.stream().set_nonblocking(false).ok();
+                    transport.send_best_effort(&WireMsg::Bye { node: slot.node.id });
+                }
+            }
+        }
+        self.stats.connected.store(0, Ordering::SeqCst);
+        let power_w: f64 = self.slots.iter().map(|s| s.node.power_w()).sum();
+        self.stats
+            .power_bits
+            .store(power_w.to_bits(), Ordering::SeqCst);
+    }
+
+    /// Arm a slot's next timer under a fresh generation.
+    fn arm(&mut self, idx: usize, at: Instant) {
+        let slot = &mut self.slots[idx];
+        slot.gen += 1;
+        self.timers.push(Reverse((at, idx, slot.gen)));
+    }
+
+    /// Wait out the slot's next backoff rung before connecting again.
+    fn back_off(&mut self, idx: usize) {
+        let delay = self.slots[idx].ladder.next_delay();
+        self.arm(idx, Instant::now() + delay);
+    }
+
+    fn connect(&mut self, idx: usize) {
+        let Ok(raw) = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT) else {
+            AgentStats::bump(&self.stats.connect_failures);
+            return self.back_off(idx);
         };
-        reactor.poll(Some(timeout))?;
-        let events = reactor.drain_events();
-        for ev in &events {
-            let Some((_, &mut idx)) = reactor.get_mut(ev.token) else {
-                continue; // removed earlier this batch
-            };
-            if ev.readable || ev.hangup {
-                handle_readable(
-                    idx,
-                    &mut slots[idx],
-                    &config,
-                    tick_wall,
-                    &stats,
-                    &mut reactor,
-                    &mut timers,
-                );
+        let slot = &mut self.slots[idx];
+        slot.connect_seq += 1;
+        let mut stream = ChaosStream::wrap(
+            raw,
+            &self.config.chaos,
+            ChaosSide::Agent,
+            slot.connect_seq,
+            self.chaos_start,
+            self.config.telemetry.clone(),
+            None,
+        );
+        stream.set_node(slot.node.id);
+        let _ = stream.set_nodelay(true);
+        let mut transport = Transport::new(stream);
+        let hello = WireMsg::Hello {
+            node: slot.node.id,
+            procs: slot.node.machine().num_cores(),
+            version: self.config.version,
+            last_epoch: slot.last_epoch,
+            codecs: self.codecs,
+        };
+        // Socket is still blocking here, so hello + flush go out whole;
+        // `Reactor::insert` flips it nonblocking.
+        let inserted = match transport.send(&hello) {
+            Ok(()) if transport.flush().is_ok() => self.reactor.insert(transport, idx).ok(),
+            _ => None,
+        };
+        let Some(token) = inserted else {
+            AgentStats::bump(&self.stats.connect_failures);
+            return self.back_off(idx);
+        };
+        let slot = &mut self.slots[idx];
+        slot.token = Some(token);
+        slot.phase = Phase::Handshaking;
+        slot.ack_deadline = Instant::now() + HANDSHAKE_DEADLINE;
+        self.await_ack(idx);
+    }
+
+    /// While the hello awaits its ack: send it once a chaos delay
+    /// releases it, and give up on the socket at the deadline.
+    fn await_ack(&mut self, idx: usize) {
+        let slot = &self.slots[idx];
+        let deadline = slot.ack_deadline;
+        let pending = match slot.token {
+            Some(token) if Instant::now() < deadline => {
+                self.reactor.get_mut(token).and_then(|(transport, _)| {
+                    let flushed = transport.flush().is_ok();
+                    flushed.then(|| (token, transport.next_delay_due()))
+                })
             }
-            if ev.writable {
-                if let Some((transport, _)) = reactor.get_mut(ev.token) {
-                    if transport.flush().is_err() {
-                        disconnect(idx, &mut slots[idx], &stats, &mut reactor, &mut timers);
-                    } else {
-                        let _ = reactor.update_interest(ev.token);
-                    }
-                }
+            _ => None,
+        };
+        let Some((token, due)) = pending else {
+            return self.disconnect(idx);
+        };
+        let _ = self.reactor.update_interest(token);
+        self.arm(idx, due.map_or(deadline, |due| due.min(deadline)));
+    }
+
+    /// Close a slot's connection, if any.
+    fn close(&mut self, idx: usize) {
+        let slot = &mut self.slots[idx];
+        if let Some(token) = slot.token.take() {
+            self.reactor.remove(token);
+        }
+        if matches!(slot.phase, Phase::Running) {
+            self.stats.connected.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Tear a slot's connection down and climb the backoff ladder.
+    fn disconnect(&mut self, idx: usize) {
+        self.close(idx);
+        self.slots[idx].phase = Phase::Backoff;
+        self.back_off(idx);
+    }
+
+    /// Refuse a stale coordinator and retry through the ladder — the
+    /// current coordinator may come back on this address.
+    fn fence(&mut self, idx: usize) {
+        AgentStats::bump(&self.stats.epochs_fenced);
+        self.disconnect(idx);
+    }
+
+    /// Park a version-refused slot permanently: retrying with the same
+    /// schema can never succeed, so don't storm.
+    fn refuse(&mut self, idx: usize) {
+        self.close(idx);
+        let slot = &mut self.slots[idx];
+        slot.phase = Phase::Refused;
+        slot.gen += 1; // orphan any armed timer
+        self.refused += 1;
+        AgentStats::bump(&self.stats.version_rejects);
+    }
+
+    /// One tick of a running agent: advance the machine, ship a summary
+    /// when the window closes, enforce backpressure and the link
+    /// timeout, re-arm the next tick.
+    fn tick(&mut self, idx: usize, when: Instant) {
+        let slot = &mut self.slots[idx];
+        slot.node.tick(self.config.tick_s);
+        slot.ticks += 1;
+        let conn = match slot.token {
+            Some(token) if slot.last_rx.elapsed() <= self.config.link_timeout => {
+                self.reactor.get_mut(token).map(|(t, _)| (token, t))
+            }
+            _ => None,
+        };
+        let Some((token, transport)) = conn else {
+            return self.disconnect(idx);
+        };
+        let mut ok = true;
+        if slot.ticks.is_multiple_of(self.config.summary_every) {
+            let summary = slot.node.summarize();
+            self.power_w += summary.power_w - slot.power_w;
+            slot.power_w = summary.power_w;
+            self.stats
+                .power_bits
+                .store(self.power_w.to_bits(), Ordering::SeqCst);
+            ok = transport.send(&WireMsg::Summary(summary)).is_ok();
+            if ok {
+                AgentStats::bump(&self.stats.summaries_sent);
             }
         }
-        reactor.recycle_events(events);
-    }
-
-    // Orderly exit: running agents say goodbye.
-    for slot in &slots {
-        if !matches!(slot.phase, Phase::Running) {
-            continue;
+        // The flush also moves chaos-delayed frames that came due.
+        if !ok || transport.flush().is_err() || transport.queued_bytes() > MAX_QUEUED_BYTES {
+            return self.disconnect(idx);
         }
-        let Some(token) = slot.token else { continue };
-        if let Some((transport, _)) = reactor.get_mut(token) {
-            transport.stream().set_nonblocking(false).ok();
-            transport.send_best_effort(&WireMsg::Bye { node: slot.node.id });
-        }
-    }
-    Ok(())
-}
-
-/// Arm a slot's next timer under a fresh generation.
-fn arm(
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-    slot: &mut Slot,
-    idx: usize,
-    at: Instant,
-) {
-    slot.gen += 1;
-    timers.push(Reverse((at, idx, slot.gen)));
-}
-
-#[allow(clippy::too_many_arguments)]
-fn connect_slot(
-    idx: usize,
-    slot: &mut Slot,
-    addr: SocketAddr,
-    config: &AgentConfig,
-    codecs: u8,
-    chaos_start: Instant,
-    stats: &FleetStats,
-    reactor: &mut Reactor<usize>,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-) {
-    let raw = match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
-        Ok(s) => s,
-        Err(_) => {
-            stats.connect_failures.fetch_add(1, Ordering::SeqCst);
-            let delay = slot.ladder.next_delay();
-            arm(timers, slot, idx, Instant::now() + delay);
-            return;
-        }
-    };
-    slot.connect_seq += 1;
-    let stream = ChaosStream::wrap(
-        raw,
-        &config.chaos,
-        ChaosSide::Agent,
-        slot.connect_seq,
-        chaos_start,
-        config.telemetry.clone(),
-        None,
-    );
-    stream.set_node(slot.node.id);
-    let _ = stream.set_nodelay(true);
-    let mut transport = Transport::new(stream);
-    let hello = WireMsg::Hello {
-        node: slot.node.id,
-        procs: slot.node.machine().num_cores(),
-        version: config.version,
-        last_epoch: slot.last_epoch,
-        codecs,
-    };
-    // Socket is still blocking here, so hello + flush go out whole;
-    // `Reactor::insert` flips it nonblocking.
-    if transport.send(&hello).is_err() || transport.flush().is_err() {
-        stats.connect_failures.fetch_add(1, Ordering::SeqCst);
-        let delay = slot.ladder.next_delay();
-        arm(timers, slot, idx, Instant::now() + delay);
-        return;
-    }
-    match reactor.insert(transport, idx) {
-        Ok(token) => {
-            slot.token = Some(token);
-            slot.phase = Phase::Handshaking;
-            arm(timers, slot, idx, Instant::now() + HANDSHAKE_DEADLINE);
-        }
-        Err(_) => {
-            stats.connect_failures.fetch_add(1, Ordering::SeqCst);
-            let delay = slot.ladder.next_delay();
-            arm(timers, slot, idx, Instant::now() + delay);
-        }
-    }
-}
-
-/// Tear a slot's connection down and climb the backoff ladder.
-fn disconnect(
-    idx: usize,
-    slot: &mut Slot,
-    stats: &FleetStats,
-    reactor: &mut Reactor<usize>,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-) {
-    if let Some(token) = slot.token.take() {
-        reactor.remove(token);
-    }
-    if matches!(slot.phase, Phase::Running) {
-        stats.connected.fetch_sub(1, Ordering::SeqCst);
-    }
-    slot.phase = Phase::Backoff;
-    let delay = slot.ladder.next_delay();
-    arm(timers, slot, idx, Instant::now() + delay);
-}
-
-/// Park a version-refused slot permanently.
-fn park_dead(slot: &mut Slot, stats: &FleetStats, reactor: &mut Reactor<usize>) {
-    if let Some(token) = slot.token.take() {
-        reactor.remove(token);
-    }
-    if matches!(slot.phase, Phase::Running) {
-        stats.connected.fetch_sub(1, Ordering::SeqCst);
-    }
-    slot.phase = Phase::Dead;
-    slot.gen += 1; // orphan any armed timer
-    stats.version_rejects.fetch_add(1, Ordering::SeqCst);
-}
-
-/// One wall-clock tick of a running agent: advance the machine, ship a
-/// summary when the window closes, enforce backpressure and the link
-/// timeout, re-arm the next tick.
-#[allow(clippy::too_many_arguments)]
-fn run_tick(
-    idx: usize,
-    slot: &mut Slot,
-    config: &AgentConfig,
-    tick_wall: Duration,
-    when: Instant,
-    stats: &FleetStats,
-    reactor: &mut Reactor<usize>,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-) {
-    let Some(token) = slot.token else {
-        disconnect(idx, slot, stats, reactor, timers);
-        return;
-    };
-    slot.node.tick(config.tick_s);
-    slot.ticks += 1;
-    let mut dead = slot.last_rx.elapsed() > config.link_timeout;
-    if !dead {
-        if let Some((transport, _)) = reactor.get_mut(token) {
-            if slot.ticks.is_multiple_of(config.summary_every) {
-                let summary = slot.node.summarize();
-                if transport.send(&WireMsg::Summary(summary)).is_err() {
-                    dead = true;
-                } else {
-                    stats.summaries_sent.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            if !dead {
-                dead = transport.flush().is_err() || transport.queued_bytes() > MAX_QUEUED_BYTES;
-            }
-            if !dead {
-                let _ = reactor.update_interest(token);
-            }
-        } else {
-            dead = true;
-        }
-    }
-    if dead {
-        disconnect(idx, slot, stats, reactor, timers);
-    } else {
+        let _ = self.reactor.update_interest(token);
         // Drift-free cadence: schedule off the previous deadline, but
         // never pile further into the past than "now".
-        let next = (when + tick_wall).max(Instant::now());
-        arm(timers, slot, idx, next);
+        let next = (when + self.tick_wall).max(Instant::now());
+        self.arm(idx, next);
     }
-}
 
-/// Drain everything readable on a slot's socket and dispatch by phase.
-#[allow(clippy::too_many_arguments)]
-fn handle_readable(
-    idx: usize,
-    slot: &mut Slot,
-    config: &AgentConfig,
-    tick_wall: Duration,
-    stats: &FleetStats,
-    reactor: &mut Reactor<usize>,
-    timers: &mut BinaryHeap<Reverse<(Instant, usize, u64)>>,
-) {
-    let Some(token) = slot.token else {
-        return;
-    };
-    let Some((transport, _)) = reactor.get_mut(token) else {
-        return;
-    };
-    match transport.fill() {
-        Ok(FillStatus::Eof) | Err(_) => {
-            disconnect(idx, slot, stats, reactor, timers);
-            return;
-        }
-        Ok(_) => {}
-    }
-    loop {
-        let Some((transport, _)) = reactor.get_mut(token) else {
+    /// Drain everything readable on a slot's socket and dispatch by
+    /// phase.
+    fn read(&mut self, idx: usize) {
+        let Some(token) = self.slots[idx].token else {
             return;
         };
-        match transport.next_msg() {
-            Ok(Some(WireMsg::HelloAck {
-                accepted,
-                version,
-                epoch,
-                codec,
-            })) => {
-                if !matches!(slot.phase, Phase::Handshaking) {
-                    continue;
+        let Some((transport, _)) = self.reactor.get_mut(token) else {
+            return;
+        };
+        if matches!(transport.fill(), Ok(FillStatus::Eof) | Err(_)) {
+            return self.disconnect(idx);
+        }
+        loop {
+            let Some((transport, _)) = self.reactor.get_mut(token) else {
+                return;
+            };
+            let msg = match transport.next_msg() {
+                Ok(Some(msg)) => msg,
+                Ok(None) => return,
+                // Desynchronised downlink: reconnect.
+                Err(_) => return self.disconnect(idx),
+            };
+            let slot = &mut self.slots[idx];
+            match msg {
+                WireMsg::HelloAck {
+                    accepted,
+                    version,
+                    epoch,
+                    codec,
+                } => {
+                    if !matches!(slot.phase, Phase::Handshaking) {
+                        continue;
+                    }
+                    if accepted && epoch >= slot.last_epoch {
+                        // An unknown codec id from a newer peer
+                        // degrades to JSON — the floor both sides
+                        // always speak.
+                        let chosen = WireCodec::from_id(codec);
+                        transport.set_codec(chosen);
+                        AgentStats::bump(match chosen {
+                            WireCodec::Binary => &self.stats.binary_conns,
+                            WireCodec::Json => &self.stats.json_conns,
+                        });
+                        if slot.ever_connected {
+                            AgentStats::bump(&self.stats.reconnects);
+                        }
+                        AgentStats::bump(&self.stats.connected);
+                        slot.ever_connected = true;
+                        slot.last_epoch = epoch;
+                        slot.last_rx = Instant::now();
+                        slot.ladder.reset();
+                        slot.phase = Phase::Running;
+                        slot.ticks = 0;
+                        self.arm(idx, Instant::now() + self.tick_wall);
+                    } else if accepted
+                        || (version == self.config.version && epoch < slot.last_epoch)
+                    {
+                        // An ack from below our epoch (an old-build
+                        // coordinator, or a stale one that doesn't know
+                        // to refuse us), or a refusal from a stale
+                        // survivor speaking our schema.
+                        return self.fence(idx);
+                    } else {
+                        return self.refuse(idx);
+                    }
                 }
-                if accepted {
+                WireMsg::Ceiling(cmd)
+                    if matches!(slot.phase, Phase::Running) && cmd.node == slot.node.id =>
+                {
+                    slot.last_rx = Instant::now();
+                    let _apply = self.config.tracer.span("node.apply");
+                    slot.node.apply(&cmd.freqs);
+                    AgentStats::bump(&self.stats.ceilings_applied);
+                }
+                WireMsg::Heartbeat { epoch } => {
                     if epoch < slot.last_epoch {
-                        stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-                        disconnect(idx, slot, stats, reactor, timers);
-                        return;
+                        // A stale coordinator is feeding this link.
+                        return self.fence(idx);
                     }
                     slot.last_epoch = epoch;
                     slot.last_rx = Instant::now();
-                    let chosen = WireCodec::from_id(codec);
-                    transport.set_codec(chosen);
-                    match chosen {
-                        WireCodec::Binary => stats.binary_conns.fetch_add(1, Ordering::SeqCst),
-                        WireCodec::Json => stats.json_conns.fetch_add(1, Ordering::SeqCst),
-                    };
-                    if slot.ever_connected {
-                        stats.reconnects.fetch_add(1, Ordering::SeqCst);
-                    }
-                    slot.ever_connected = true;
-                    slot.ladder.reset();
-                    slot.phase = Phase::Running;
-                    slot.ticks = 0;
-                    stats.connected.fetch_add(1, Ordering::SeqCst);
-                    arm(timers, slot, idx, Instant::now() + tick_wall);
-                } else if version == config.version && epoch < slot.last_epoch {
-                    // Refused by a *stale* survivor speaking our schema:
-                    // fence it and retry — the current coordinator may
-                    // come back on this address.
-                    stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-                    disconnect(idx, slot, stats, reactor, timers);
-                    return;
-                } else {
-                    // A schema-version refusal is permanent.
-                    park_dead(slot, stats, reactor);
-                    return;
                 }
-            }
-            Ok(Some(WireMsg::Ceiling(cmd))) => {
-                if matches!(slot.phase, Phase::Running) && cmd.node == slot.node.id {
-                    slot.last_rx = Instant::now();
-                    slot.node.apply(&cmd.freqs);
-                    stats.ceilings_applied.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            Ok(Some(WireMsg::Heartbeat { epoch })) => {
-                if epoch < slot.last_epoch {
-                    stats.epochs_fenced.fetch_add(1, Ordering::SeqCst);
-                    disconnect(idx, slot, stats, reactor, timers);
-                    return;
-                }
-                slot.last_epoch = epoch;
-                slot.last_rx = Instant::now();
-            }
-            Ok(Some(_)) => {}
-            Ok(None) => return,
-            Err(_) => {
-                disconnect(idx, slot, stats, reactor, timers);
-                return;
+                _ => {}
             }
         }
     }
@@ -609,8 +669,10 @@ fn handle_readable(
 mod tests {
     use super::*;
     use crate::coordinator::{CoordinatorConfig, CoordinatorServer};
+    use crate::wire::SCHEMA_VERSION;
     use fvs_sched::FvsstAlgorithm;
     use fvs_sim::MachineBuilder;
+    use fvs_telemetry::Tracer;
     use fvs_workloads::WorkloadSpec;
 
     fn wait_until(deadline_s: u64, mut cond: impl FnMut() -> bool) -> bool {
@@ -624,17 +686,18 @@ mod tests {
         false
     }
 
-    #[test]
-    fn fleet_connects_reports_and_applies_ceilings() {
-        let n = 8;
-        let server = CoordinatorServer::bind(
+    fn server(n: usize) -> CoordinatorServer {
+        CoordinatorServer::bind(
             "127.0.0.1:0",
             n,
             FvsstAlgorithm::p630(),
             CoordinatorConfig::default_lan().with_period_s(0.05),
         )
-        .unwrap();
-        let nodes: Vec<ClusterNode> = (0..n)
+        .unwrap()
+    }
+
+    fn nodes(n: usize) -> Vec<ClusterNode> {
+        (0..n)
             .map(|i| {
                 let mut b = MachineBuilder::p630();
                 for core in 0..4 {
@@ -642,14 +705,23 @@ mod tests {
                 }
                 ClusterNode::new(i, b.build(), None)
             })
-            .collect();
-        let config = AgentConfig::default_lan()
+            .collect()
+    }
+
+    fn fast_agent() -> AgentConfig {
+        AgentConfig::default_lan()
             .with_tick_s(0.02)
-            .with_summary_every(2);
+            .with_summary_every(2)
+    }
+
+    #[test]
+    fn fleet_connects_reports_and_applies_ceilings() {
+        let n = 8;
+        let server = server(n);
         let fleet = AgentFleet::launch(
-            nodes,
+            nodes(n),
             server.local_addr(),
-            config,
+            fast_agent(),
             Duration::from_millis(100),
         )
         .unwrap();
@@ -669,5 +741,57 @@ mod tests {
         let status = server.shutdown().unwrap();
         assert!(status.nodes_reporting > 0);
         assert_eq!(final_stats.version_rejects(), 0);
+    }
+
+    /// A schema-version refusal is permanent for every member, so a
+    /// fleet refused across the board has nothing left to run.
+    #[test]
+    fn fleet_refused_for_its_schema_version_ends_its_thread() {
+        let n = 3;
+        let server = server(n);
+        let fleet = AgentFleet::launch(
+            nodes(n),
+            server.local_addr(),
+            fast_agent().with_version(SCHEMA_VERSION + 1),
+            Duration::ZERO,
+        )
+        .unwrap();
+        assert!(
+            wait_until(10, || fleet.is_finished()),
+            "refused fleet kept running: {:?}",
+            fleet.stats()
+        );
+        let stats = fleet.stop();
+        assert_eq!(stats.version_rejects(), n as u64);
+        assert_eq!(stats.summaries_sent(), 0);
+        server.shutdown().unwrap();
+    }
+
+    /// Every ceiling applied to a machine is traced as a `node.apply`
+    /// span.
+    #[test]
+    fn applied_ceilings_record_node_apply_spans() {
+        let n = 2;
+        let server = server(n);
+        let tracer = Tracer::ring(4096);
+        let fleet = AgentFleet::launch(
+            nodes(n),
+            server.local_addr(),
+            fast_agent().with_tracer(tracer.clone()),
+            Duration::ZERO,
+        )
+        .unwrap();
+        let stats = fleet.stats();
+        assert!(
+            wait_until(20, || stats.ceilings_applied() > 0),
+            "no ceiling ever arrived: {stats:?}"
+        );
+        fleet.stop();
+        server.shutdown().unwrap();
+        assert!(
+            tracer.records().iter().any(|r| r.name == "node.apply"),
+            "no node.apply span among {} recorded",
+            tracer.spans_recorded()
+        );
     }
 }

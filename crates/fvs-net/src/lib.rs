@@ -36,14 +36,12 @@ pub mod snapshot;
 pub mod transport;
 pub mod wire;
 
-pub use agent::{
-    AgentConfig, AgentReport, AgentStats, NodeAgent, NodeAgentHandle, ReconnectLadder,
-};
+pub use agent::{AgentConfig, AgentReport, NodeAgent, NodeAgentHandle, ReconnectLadder};
 pub use args::NetArgs;
-pub use chaos::{ChaosSide, ChaosStream, WireChaos, WriteFault};
+pub use chaos::{ChaosSide, ChaosStream, WireChaos};
 pub use coordinator::{CoordinatorConfig, CoordinatorServer, CoordinatorStatus};
 pub use error::FvsError;
-pub use fleet::{AgentFleet, FleetHandle, FleetStats};
+pub use fleet::{AgentFleet, AgentStats, FleetHandle};
 pub use obs::{http_get, HealthReport, ObsHandles, ObsServer};
 pub use reactor::{Reactor, LISTENER_TOKEN};
 pub use snapshot::{Snapshot, SnapshotEpisode, SnapshotNode, SnapshotStore, SNAPSHOT_VERSION};

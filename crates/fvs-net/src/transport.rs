@@ -1,31 +1,28 @@
 //! The unified transport: one connection's codec, chaos, framing and
 //! queueing state behind a single API.
 //!
-//! Historically the coordinator and agent each hand-rolled their frame
-//! plumbing — a `ChaosStream` here, a `FrameReader` there, `write_all`
-//! calls sprinkled through both loops. [`Transport`] owns all of it for
-//! one connection:
+//! For one connection, [`Transport`] owns:
 //!
 //! * **Codec seam** — frames go out under the negotiated [`WireCodec`]
 //!   (handshake frames always JSON, see [`encode_with`]); incoming
 //!   frames decode by magic, so both codecs are always readable.
-//! * **Chaos as a layer** — outgoing frames take their fault decision
-//!   from [`ChaosStream::decide_write_fault`] at enqueue time, which is
-//!   what makes fault injection compose with nonblocking writes: a
-//!   partial write retried later must not re-roll the dice, and a
-//!   chaos-delayed frame must not block frames behind it.
+//! * **Chaos as a layer** — the [`ChaosStream`] is owned here, so its
+//!   fault state needs no sharing. Outgoing frames take their fault
+//!   decision at enqueue time, which is what makes fault injection
+//!   compose with nonblocking writes: a partial write retried later
+//!   must not re-roll the dice, and a chaos-delayed frame waits in its
+//!   own queue so it never blocks the frames behind it. Reads go
+//!   through the chaos layer too, so partitions blackhole them.
 //! * **Queueing** — writes never block. Bytes that don't fit the socket
 //!   buffer wait in an outbound queue with a partial-write offset;
-//!   [`Transport::flush`] drains what the socket will take. On a
-//!   blocking socket (the standalone agent) the drain is total, so the
-//!   old semantics hold unchanged.
+//!   [`Transport::flush`] drains what the socket will take.
 //!
-//! The same type serves both ends: the coordinator's reactor drives
-//! thousands of these off readiness events; each agent drives one off
-//! its tick loop.
+//! The same type serves both ends: the coordinator's reactor and the
+//! agent fleet's reactor each drive thousands of these off readiness
+//! events.
 
 use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io;
 use std::time::Instant;
 
 use crate::chaos::{ChaosStream, WriteFault};
@@ -83,10 +80,16 @@ impl Transport {
         }
     }
 
-    /// The underlying chaos-wrapped socket (for `set_node`,
-    /// `peer_addr`, timeouts and shutdown).
+    /// The underlying chaos-wrapped socket (for socket options, the
+    /// raw descriptor and the injected-fault count).
     pub fn stream(&self) -> &ChaosStream {
         &self.stream
+    }
+
+    /// Name the node this connection serves, for node-targeted chaos
+    /// partitions and fault journaling (see [`ChaosStream::set_node`]).
+    pub fn set_node(&mut self, node: usize) {
+        self.stream.set_node(node);
     }
 
     /// Switch the write codec once negotiation picks one. Reads are
@@ -162,8 +165,9 @@ impl Transport {
 
     /// Promote due delayed frames, then write as much of the queue as
     /// the socket accepts. On a nonblocking socket this returns at
-    /// `WouldBlock` with the remainder queued; on a blocking socket it
-    /// drains everything promoted. Errors mean the connection is dead.
+    /// `WouldBlock` with the remainder queued; on a blocking socket
+    /// (before the reactor adopts it) it drains everything promoted.
+    /// Errors mean the connection is dead.
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.delayed.is_empty() {
             let now = Instant::now();
@@ -287,6 +291,7 @@ mod tests {
 
     fn transport_pair(chaos: &WireChaos) -> (Transport, Transport) {
         let (a, b) = pair();
+        b.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
         let tx = Transport::new(ChaosStream::wrap(
             a,
             chaos,
@@ -302,9 +307,6 @@ mod tests {
 
     fn recv_one(rx: &mut Transport) -> WireMsg {
         let deadline = Instant::now() + Duration::from_secs(5);
-        rx.stream()
-            .set_read_timeout(Some(Duration::from_millis(10)))
-            .unwrap();
         while Instant::now() < deadline {
             if let Some(msg) = rx.next_msg().unwrap() {
                 return msg;
@@ -354,9 +356,6 @@ mod tests {
         // Drain the receiver; the sender's queue must fully unwind.
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut got = 0u64;
-        rx.stream()
-            .set_read_timeout(Some(Duration::from_millis(5)))
-            .unwrap();
         while got < sent && Instant::now() < deadline {
             tx.flush().unwrap();
             let _ = rx.fill().unwrap();
@@ -406,74 +405,5 @@ mod tests {
         let (mut tx, _rx) = transport_pair(&chaos);
         let err = tx.send(&WireMsg::Heartbeat { epoch: 1 }).unwrap_err();
         assert!(matches!(err, FvsError::Io(_)), "{err}");
-    }
-
-    /// Same plan + seed ⇒ the enqueue-time fault decisions match the
-    /// blocking `Write` path's, frame for frame (shared RNG draws).
-    #[test]
-    fn fault_decisions_match_blocking_path() {
-        let plan = WireFaultPlan {
-            drop_rate: 0.3,
-            duplicate_rate: 0.2,
-            corrupt_rate: 0.1,
-            ..WireFaultPlan::none()
-        };
-        let run_transport = |seed: u64| -> Vec<u8> {
-            let chaos = WireChaos::new(plan.clone(), seed);
-            let (mut tx, rx) = transport_pair(&chaos);
-            for i in 0..60u64 {
-                let _ = tx.send(&WireMsg::Heartbeat { epoch: i });
-                tx.flush().unwrap();
-            }
-            drop(tx);
-            let mut bytes = Vec::new();
-            rx.stream()
-                .set_read_timeout(Some(Duration::from_secs(2)))
-                .unwrap();
-            let mut buf = [0u8; 4096];
-            use std::io::Read;
-            let mut raw = rx;
-            loop {
-                match raw.stream.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => bytes.extend_from_slice(&buf[..n]),
-                    Err(_) => break,
-                }
-            }
-            bytes
-        };
-        let run_blocking = |seed: u64| -> Vec<u8> {
-            let chaos = WireChaos::new(plan.clone(), seed);
-            let (a, b) = pair();
-            let mut tx = ChaosStream::wrap(
-                a,
-                &chaos,
-                ChaosSide::Agent,
-                0,
-                Instant::now(),
-                Telemetry::disabled(),
-                None,
-            );
-            use std::io::Write;
-            for i in 0..60u64 {
-                let frame = encode_with(&WireMsg::Heartbeat { epoch: i }, WireCodec::Json).unwrap();
-                let _ = tx.write_all(&frame);
-            }
-            drop(tx);
-            let mut rx = b;
-            rx.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-            let mut bytes = Vec::new();
-            use std::io::Read;
-            let mut buf = [0u8; 4096];
-            loop {
-                match rx.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => bytes.extend_from_slice(&buf[..n]),
-                    Err(_) => break,
-                }
-            }
-            bytes
-        };
-        assert_eq!(run_transport(99), run_blocking(99));
     }
 }

@@ -29,14 +29,11 @@
 //! - [`sim_loop`] — [`ScheduledSimulation`]: drives a
 //!   [`fvs_sim::Machine`] under any policy and produces a [`RunReport`]
 //!   (energy, budget compliance, completion times, full trace).
-//! - [`daemon`] — a thread-hosted wrapper mirroring the prototype's
-//!   privileged user-level daemon process, communicating over channels.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod algorithm;
-pub mod daemon;
 pub mod feedback;
 pub mod mt_daemon;
 pub mod policy;

@@ -16,8 +16,7 @@
 //!   frequency/voltage commands out;
 //! - one **actuator** mailbox per processor delivers commands
 //!   asynchronously — the measurement path never blocks on actuation,
-//!   unlike [`crate::daemon::SchedulerDaemon`]'s synchronous
-//!   request/response loop.
+//!   unlike the shipped prototype's synchronous single-threaded loop.
 //!
 //! The driving loop (simulation or real sampling code) submits samples
 //! with [`MtDaemon::submit`] and drains [`MtDaemon::poll_commands`]

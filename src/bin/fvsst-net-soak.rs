@@ -236,6 +236,7 @@ fn run_fleet_child(args: Args) -> Result<(), FvsError> {
         AgentConfig::default_lan()
             .with_tick_s(args.tick_s)
             .with_summary_every(args.summary_every)
+            .with_timed(true)
             .with_jitter_seed(args.seed)
             .with_codec(args.net.codec)
             .with_link_timeout(Duration::from_secs_f64(heartbeat_s * 2.0)),

@@ -249,7 +249,7 @@ fn run(args: Args) -> Result<(), FvsError> {
                     journal: Telemetry::disabled(),
                     tracer,
                     health: Some(std::sync::Arc::new(move || {
-                        let connected = stats.connected();
+                        let connected = stats.connected() > 0;
                         HealthReport {
                             uptime_s: start.elapsed().as_secs_f64(),
                             rounds: stats.summaries_sent(),

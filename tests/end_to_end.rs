@@ -192,41 +192,3 @@ fn trace_supports_figure_queries() {
     // The memory-bound core's requested frequencies concentrate low.
     assert!(residency.mean_mhz() < 500.0);
 }
-
-#[test]
-fn scheduler_daemon_thread_integrates_with_machine() {
-    use fvsst::model::CounterDelta;
-    use fvsst::sched::daemon::{SchedulerDaemon, TickData};
-    use fvsst::sched::PlatformView;
-
-    let mut machine = diverse_machine();
-    let daemon = SchedulerDaemon::spawn(4, SchedulerConfig::p630(), PlatformView::p630());
-    let mut applied = 0;
-    for tick in 0..50u64 {
-        machine.step(0.01);
-        let samples: Vec<CounterDelta> = machine.sample_all();
-        let data = TickData {
-            now_s: machine.now_s(),
-            tick,
-            budget_w: 294.0,
-            measured_power_w: machine.total_power_w(),
-            idle: (0..4).map(|i| machine.idle_signal(i)).collect(),
-            transitional: vec![false; 4],
-            current: (0..4)
-                .map(|i| machine.core(i).requested_frequency())
-                .collect(),
-            ground_truth: vec![],
-            samples,
-        };
-        if let Some(decision) = daemon.tick(data) {
-            for (i, f) in decision.freqs.iter().enumerate() {
-                machine.set_frequency(i, *f);
-            }
-            applied += 1;
-        }
-    }
-    let summary = daemon.shutdown();
-    assert!(applied >= 5);
-    assert_eq!(summary.schedules_run, applied);
-    assert!(machine.total_power_w() <= 294.0);
-}

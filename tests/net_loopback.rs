@@ -230,7 +230,7 @@ fn budget_drop_and_node_death_over_loopback() {
         // The live counters agree with the final report.
         assert_eq!(stats.summaries_sent(), report.summaries_sent);
         assert_eq!(stats.ceilings_applied(), report.ceilings_applied);
-        assert!(!stats.connected(), "stopped agent still marked connected");
+        assert_eq!(stats.connected(), 0, "stopped agent still marked connected");
     }
     obs.shutdown();
     let final_status = server.shutdown().expect("shutdown");
