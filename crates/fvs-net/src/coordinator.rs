@@ -20,6 +20,13 @@
 //! JSON on purpose) connects to one listener. Reads never care — the
 //! frame magic picks the decoder per frame.
 //!
+//! The loop sleeps until it has work: the next round, the next
+//! read-deadline sweep, the next chaos-delayed frame coming due, a
+//! readable socket, or a wake-up. [`CoordinatorServer::set_budget`] and
+//! shutdown write one byte to a waker socket pair whose read end sits
+//! in the reactor under [`WAKER_TOKEN`], so a budget change starts a
+//! round as soon as the loop is scheduled.
+//!
 //! Timestamps are coordinator-local. Incoming summaries are re-stamped
 //! with their *arrival* time on the server's monotonic clock, so agent
 //! clock skew cannot fake liveness (an agent cannot claim "I reported
@@ -43,7 +50,7 @@
 use crate::chaos::{ChaosSide, ChaosStream};
 use crate::error::FvsError;
 use crate::obs::{HealthReport, ObsHandles, ObsServer};
-use crate::reactor::{Reactor, LISTENER_TOKEN};
+use crate::reactor::{Reactor, LISTENER_TOKEN, WAKER_TOKEN};
 use crate::snapshot::{Snapshot, SnapshotEpisode, SnapshotNode, SnapshotStore};
 use crate::transport::{FillStatus, Transport};
 use crate::wire::{FrameFault, WireCodec, WireMsg, CODEC_BINARY_BIT, SCHEMA_VERSION};
@@ -54,12 +61,14 @@ use fvs_telemetry::{
     BudgetDeadlineTracker, ComplianceRecord, Counter, Gauge, Histogram, SchedEvent, Telemetry,
     Tracer, WireFaultKind,
 };
-use std::collections::HashMap;
-use std::io;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::io::{self, Read, Write};
 use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -341,8 +350,9 @@ impl NetMetrics {
 
 struct Shared {
     stop: AtomicBool,
-    /// Budget as f64 bits, plus a change epoch so the event loop
-    /// reacts on its next slice instead of waiting out the period.
+    /// Budget as f64 bits, plus a change epoch the event loop checks
+    /// each time it is woken, so a change runs a round at once instead
+    /// of waiting out the period.
     budget_bits: AtomicU64,
     budget_epoch: AtomicU64,
     /// The fencing epoch this coordinator serves (monotonic across
@@ -359,9 +369,20 @@ struct Shared {
     last_round_bits: AtomicU64,
 }
 
+impl Shared {
+    /// The status, even if a thread panicked while holding it: every
+    /// writer stores whole fields, so a poisoned value is still a
+    /// consistent view to serve.
+    fn status(&self) -> MutexGuard<'_, CoordinatorStatus> {
+        self.status.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The running coordinator server.
 pub struct CoordinatorServer {
     shared: Arc<Shared>,
+    /// Write end of the event loop's waker (see the module docs).
+    waker: UnixStream,
     local_addr: std::net::SocketAddr,
     thread: Option<JoinHandle<()>>,
     telemetry: Telemetry,
@@ -383,7 +404,15 @@ struct Conn {
     /// Round id of the last ceiling pushed to this connection, so the
     /// heartbeat pass skips freshly-commanded nodes in O(1).
     last_cmd_round: u64,
+    /// The earliest chaos-delayed frame due time queued on the event
+    /// loop's [`DelayQueue`] for this connection.
+    delay_due: Option<Instant>,
 }
+
+/// When connections' chaos-delayed frames come due: a min-heap of
+/// `(due, token)`. An entry is live while it matches its connection's
+/// [`Conn::delay_due`]; the rest are skipped when popped.
+type DelayQueue = BinaryHeap<Reverse<(Instant, u64)>>;
 
 /// The event loop's share of the config, bundled once.
 struct LoopCtx {
@@ -419,6 +448,9 @@ impl CoordinatorServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let (waker, waker_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        waker_rx.set_nonblocking(true)?;
 
         let telemetry = config.telemetry.clone();
         let metrics = Arc::new(NetMetrics::from(&telemetry));
@@ -535,12 +567,13 @@ impl CoordinatorServer {
         let thread = std::thread::Builder::new()
             .name("fvs-coordinator".into())
             .spawn(move || {
-                event_loop(listener, coordinator, tracker, ctx);
+                event_loop(listener, waker_rx, coordinator, tracker, ctx);
             })
             .map_err(FvsError::Io)?;
 
         Ok(CoordinatorServer {
             shared,
+            waker,
             local_addr,
             thread: Some(thread),
             telemetry,
@@ -559,18 +592,26 @@ impl CoordinatorServer {
         self.shared.epoch.load(Ordering::SeqCst)
     }
 
-    /// Change the global budget; the event loop reacts on its next
-    /// slice (a few milliseconds), not its next period.
+    /// Change the global budget. The event loop is woken and runs a
+    /// round at once, not at its next period.
     pub fn set_budget(&self, watts: f64) {
         self.shared
             .budget_bits
             .store(watts.to_bits(), Ordering::SeqCst);
         self.shared.budget_epoch.fetch_add(1, Ordering::SeqCst);
+        self.wake();
+    }
+
+    /// Wake the event loop. A full waker (`WouldBlock`) already holds a
+    /// byte the loop has not drained, which wakes it just the same; any
+    /// other failure means the loop is gone.
+    fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
     }
 
     /// A snapshot of the control plane right now.
     pub fn status(&self) -> CoordinatorStatus {
-        self.shared.status.lock().expect("status poisoned").clone()
+        self.shared.status().clone()
     }
 
     /// The health report — the single code path behind the `/healthz`
@@ -608,6 +649,7 @@ impl CoordinatorServer {
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
+            self.wake();
             let _ = t.join();
         }
     }
@@ -642,6 +684,52 @@ fn close_conn(
     }
 }
 
+/// Queue `token`'s earliest chaos-delayed frame on `delays` when it
+/// comes due before the one already queued for it. Call after sends.
+fn queue_delay(reactor: &mut Reactor<Conn>, token: u64, delays: &mut DelayQueue) {
+    let Some((transport, conn)) = reactor.get_mut(token) else {
+        return;
+    };
+    let Some(due) = transport.next_delay_due() else {
+        return;
+    };
+    if conn.delay_due.is_none_or(|queued| due < queued) {
+        conn.delay_due = Some(due);
+        delays.push(Reverse((due, token)));
+    }
+}
+
+/// Flush every connection whose chaos-delayed frame has come due, so a
+/// delay fault holds a frame for its delay and not until the next
+/// round, then queue each one's next delayed frame.
+fn flush_due(
+    reactor: &mut Reactor<Conn>,
+    node_tokens: &mut HashMap<usize, u64>,
+    delays: &mut DelayQueue,
+    metrics: Option<&NetMetrics>,
+) {
+    let now = Instant::now();
+    while let Some(&Reverse((due, token))) = delays.peek() {
+        if due > now {
+            break;
+        }
+        delays.pop();
+        let Some((transport, conn)) = reactor.get_mut(token) else {
+            continue;
+        };
+        if conn.delay_due != Some(due) {
+            continue;
+        }
+        conn.delay_due = None;
+        if transport.flush().is_err() {
+            close_conn(reactor, node_tokens, token, metrics);
+            continue;
+        }
+        let _ = reactor.update_interest(token);
+        queue_delay(reactor, token, delays);
+    }
+}
+
 /// Accept everything pending on the listener (level-triggered: drain
 /// until `WouldBlock`).
 fn accept_ready(listener: &TcpListener, reactor: &mut Reactor<Conn>, ctx: &LoopCtx, seq: &mut u64) {
@@ -673,6 +761,7 @@ fn accept_ready(listener: &TcpListener, reactor: &mut Reactor<Conn>, ctx: &LoopC
                     last_rx: Instant::now(),
                     bytes_seen: 0,
                     last_cmd_round: 0,
+                    delay_due: None,
                 };
                 if reactor.insert(Transport::new(stream), conn).is_ok() {
                     if let Some(m) = metrics {
@@ -697,6 +786,7 @@ fn service_conn(
     token: u64,
     reactor: &mut Reactor<Conn>,
     node_tokens: &mut HashMap<usize, u64>,
+    delays: &mut DelayQueue,
     ctx: &LoopCtx,
     coordinator: &mut GlobalCoordinator,
     last_power: &mut [f64],
@@ -815,6 +905,7 @@ fn service_conn(
                         // the push target; the old one dies by deadline.
                         node_tokens.insert(node, token);
                         let _ = reactor.update_interest(token);
+                        queue_delay(reactor, token, delays);
                     }
                     WireMsg::Summary(mut summary) => {
                         // Re-stamp with arrival time on the
@@ -891,6 +982,7 @@ fn service_conn(
 fn push_round(
     reactor: &mut Reactor<Conn>,
     node_tokens: &mut HashMap<usize, u64>,
+    delays: &mut DelayQueue,
     commands: &[FrequencyCommand],
     epoch: u64,
     round: u64,
@@ -911,6 +1003,7 @@ fn push_round(
             continue;
         }
         let _ = reactor.update_interest(token);
+        queue_delay(reactor, token, delays);
         if let Some(m) = metrics {
             m.frames_tx.inc();
         }
@@ -930,6 +1023,7 @@ fn push_round(
             continue;
         }
         let _ = reactor.update_interest(token);
+        queue_delay(reactor, token, delays);
         if let Some(m) = metrics {
             m.frames_tx.inc();
             m.heartbeats_tx.inc();
@@ -984,6 +1078,7 @@ fn take_snapshot(
 /// The whole server, one thread: accept, read, schedule, push.
 fn event_loop(
     listener: TcpListener,
+    waker: UnixStream,
     mut coordinator: GlobalCoordinator,
     mut tracker: BudgetDeadlineTracker,
     ctx: LoopCtx,
@@ -999,14 +1094,19 @@ fn event_loop(
         eprintln!("fvsst-coordinator: listener registration failed: {e}");
         return;
     }
+    if let Err(e) = reactor.register_fd(&waker, WAKER_TOKEN) {
+        eprintln!("fvsst-coordinator: waker registration failed: {e}");
+        return;
+    }
 
     // Map a node id to its current downlink token.
     let mut node_tokens: HashMap<usize, u64> = HashMap::new();
+    let mut delays = DelayQueue::new();
     let mut accept_seq = 0u64;
     let mut last_round = Instant::now();
     let mut seen_epoch = 0u64;
     let mut prev_budget = f64::from_bits(ctx.shared.budget_bits.load(Ordering::SeqCst));
-    let mut rounds = ctx.shared.status.lock().expect("status poisoned").rounds;
+    let mut rounds = ctx.shared.status().rounds;
     let my_epoch = ctx.shared.epoch.load(Ordering::SeqCst);
     let mut last_snapshot_s = 0.0f64;
     // Last power each node reported, and when (coordinator clock) — the
@@ -1053,14 +1153,17 @@ fn event_loop(
     };
 
     loop {
-        let stopping = ctx.shared.stop.load(Ordering::SeqCst);
-
-        // Wait for readiness, but never past the scheduler slice: a
-        // budget change (an atomic poke from another thread) must be
-        // noticed within a few milliseconds, not a period.
+        // Sleep until there is work: the next round, the next sweep, the
+        // next chaos-delayed frame, a readable socket, or a wake-up. A
+        // budget change or a stop from another thread writes to the
+        // waker, so it is seen as soon as this thread runs.
         let until_round =
             Duration::from_secs_f64(ctx.period_s).saturating_sub(last_round.elapsed());
-        let timeout = until_round.min(Duration::from_millis(2));
+        let until_sweep = sweep_every.saturating_sub(last_sweep.elapsed());
+        let mut timeout = until_round.min(until_sweep);
+        if let Some(&Reverse((due, _))) = delays.peek() {
+            timeout = timeout.min(due.saturating_duration_since(Instant::now()));
+        }
         if let Err(e) = reactor.poll(Some(timeout)) {
             eprintln!("fvsst-coordinator: poll failed: {e}");
             break;
@@ -1069,6 +1172,9 @@ fn event_loop(
         for ev in &events {
             if ev.token == LISTENER_TOKEN {
                 accept_ready(&listener, &mut reactor, &ctx, &mut accept_seq);
+            } else if ev.token == WAKER_TOKEN {
+                let mut buf = [0u8; 64];
+                while matches!((&waker).read(&mut buf), Ok(n) if n > 0) {}
             } else {
                 service_conn(
                     ev.readable || ev.hangup,
@@ -1076,6 +1182,7 @@ fn event_loop(
                     ev.token,
                     &mut reactor,
                     &mut node_tokens,
+                    &mut delays,
                     &ctx,
                     &mut coordinator,
                     &mut last_power,
@@ -1085,6 +1192,15 @@ fn event_loop(
             }
         }
         reactor.recycle_events(events);
+        // Read after the waker is drained: a stop whose wake-up byte
+        // was just consumed must end this iteration, not the next.
+        let stopping = ctx.shared.stop.load(Ordering::SeqCst);
+        flush_due(
+            &mut reactor,
+            &mut node_tokens,
+            &mut delays,
+            ctx.metrics.as_ref().as_ref(),
+        );
 
         // Read-deadline sweep: a link that produces no bytes for
         // `read_deadline` is declared dead instead of lingering.
@@ -1179,6 +1295,7 @@ fn event_loop(
                 push_round(
                     &mut reactor,
                     &mut node_tokens,
+                    &mut delays,
                     &commands,
                     my_epoch,
                     rounds,
@@ -1190,7 +1307,7 @@ fn event_loop(
                 }
             }
 
-            let mut status = ctx.shared.status.lock().expect("status poisoned");
+            let mut status = ctx.shared.status();
             status.rounds = rounds;
             status.nodes_reporting = coordinator.nodes_reporting();
             status.dead_nodes = coordinator.dead_nodes();
@@ -1234,7 +1351,7 @@ fn event_loop(
 /// quantity the paper's ΔT argument bounds — and an infinite budget is
 /// trivially compliant.
 fn health_from(shared: &Shared, start: Instant) -> HealthReport {
-    let status = shared.status.lock().expect("status poisoned").clone();
+    let status = shared.status().clone();
     let now_s = start.elapsed().as_secs_f64();
     let last_round_s = f64::from_bits(shared.last_round_bits.load(Ordering::SeqCst));
     let budget_compliant =
@@ -1262,5 +1379,99 @@ fn health_from(shared: &Shared, start: Instant) -> HealthReport {
             f64::NAN
         },
         degraded: status.dead_nodes > 0 || !budget_compliant,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{encode, FrameReader, CODEC_ALL};
+    use fvs_faults::WireFaultPlan;
+    use std::net::TcpStream;
+
+    fn server(config: CoordinatorConfig) -> CoordinatorServer {
+        CoordinatorServer::bind("127.0.0.1:0", 1, FvsstAlgorithm::p630(), config).unwrap()
+    }
+
+    /// A panic while the status lock is held must not take `status()`,
+    /// `/healthz` or the event loop down with it.
+    #[test]
+    fn poisoned_status_still_answers() {
+        let server = server(CoordinatorConfig::default_lan().with_period_s(0.01));
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.status.lock().unwrap();
+            panic!("poison the status lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.status.is_poisoned());
+
+        let before = server.status().rounds;
+        let health = server.health();
+        assert_eq!(health.epoch, 1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.status().rounds == before && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(server.status().rounds > before, "the event loop stopped");
+        server.shutdown().unwrap();
+    }
+
+    /// A coordinator-side delay fault holds a frame for `delay_s`, not
+    /// until the next round flushes the connection.
+    #[test]
+    fn chaos_delayed_hello_ack_arrives_when_due() {
+        let chaos = WireChaos::new(
+            WireFaultPlan {
+                delay_rate: 1.0,
+                delay_s: 0.05,
+                ..WireFaultPlan::none()
+            },
+            7,
+        );
+        let server = server(
+            CoordinatorConfig::default_lan()
+                .with_period_s(2.0)
+                .with_chaos(chaos),
+        );
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+        let hello = WireMsg::Hello {
+            node: 0,
+            procs: 4,
+            version: SCHEMA_VERSION,
+            last_epoch: 0,
+            codecs: CODEC_ALL,
+        };
+        let sent = Instant::now();
+        sock.write_all(&encode(&hello).unwrap()).unwrap();
+
+        let mut reader = FrameReader::new();
+        let mut buf = [0u8; 4096];
+        let ack = loop {
+            if let Some(msg) = reader.next_frame().unwrap() {
+                break msg;
+            }
+            assert!(sent.elapsed() < Duration::from_secs(5), "no hello-ack");
+            match sock.read(&mut buf) {
+                Ok(0) => panic!("coordinator closed the connection"),
+                Ok(n) => reader.feed(&buf[..n]),
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut => {}
+                Err(e) => panic!("read failed: {e}"),
+            }
+        };
+        let waited = sent.elapsed();
+        assert!(
+            matches!(ack, WireMsg::HelloAck { accepted: true, .. }),
+            "{ack:?}"
+        );
+        assert!(
+            waited < Duration::from_millis(500),
+            "hello-ack took {waited:?} against a 50 ms delay"
+        );
+        server.shutdown().unwrap();
     }
 }

@@ -43,7 +43,7 @@ pub use coordinator::{CoordinatorConfig, CoordinatorServer, CoordinatorStatus};
 pub use error::FvsError;
 pub use fleet::{AgentFleet, AgentStats, FleetHandle};
 pub use obs::{http_get, HealthReport, ObsHandles, ObsServer};
-pub use reactor::{Reactor, LISTENER_TOKEN};
+pub use reactor::{Reactor, LISTENER_TOKEN, WAKER_TOKEN};
 pub use snapshot::{Snapshot, SnapshotEpisode, SnapshotNode, SnapshotStore, SNAPSHOT_VERSION};
 pub use transport::{FillStatus, Transport};
 pub use wire::{

@@ -12,8 +12,12 @@
 //! with an empty outbound queue never wakes the poller for writability
 //! (level-triggered `EPOLLOUT` on an idle socket would busy-spin).
 //!
-//! One extra descriptor — the coordinator's listener — registers under
-//! the reserved [`LISTENER_TOKEN`], far above any slab index.
+//! Two extra descriptors of the coordinator register under reserved
+//! tokens far above any slab index: its listener under
+//! [`LISTENER_TOKEN`], and the read end of its waker under
+//! [`WAKER_TOKEN`]. A thread that changes the budget or stops the
+//! server writes a byte to the waker's other end, so the loop sleeps
+//! until it has work instead of polling on a short timeout.
 
 use std::io;
 use std::os::fd::AsRawFd;
@@ -25,6 +29,9 @@ use crate::transport::Transport;
 
 /// Token reserved for the accept listener (never a slab index).
 pub const LISTENER_TOKEN: u64 = u64::MAX;
+
+/// Token reserved for the coordinator's waker (never a slab index).
+pub const WAKER_TOKEN: u64 = u64::MAX - 1;
 
 struct Entry<T> {
     transport: Transport,
@@ -69,8 +76,15 @@ impl<T> Reactor<T> {
     /// Register the accept listener under [`LISTENER_TOKEN`]. The
     /// listener must already be nonblocking.
     pub fn register_listener(&self, listener: &impl AsRawFd) -> io::Result<()> {
-        self.poller
-            .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
+        self.register_fd(listener, LISTENER_TOKEN)
+    }
+
+    /// Register a descriptor the reactor does not own, read-interested,
+    /// under a reserved `token` such as [`LISTENER_TOKEN`] or
+    /// [`WAKER_TOKEN`]. The caller keeps it open while registered and
+    /// drains it on its events.
+    pub fn register_fd(&self, fd: &impl AsRawFd, token: u64) -> io::Result<()> {
+        self.poller.register(fd.as_raw_fd(), token, Interest::READ)
     }
 
     /// Adopt a connection: switch it nonblocking, register it with the

@@ -750,10 +750,18 @@ pub enum FrameFault {
 /// the most recent error so the caller can emit a `wire_fault`
 /// telemetry event *before* closing instead of dying silently.
 ///
+/// Parsing is linear in the bytes fed: a frame is consumed by advancing
+/// an offset, and [`feed`] moves the unconsumed tail to the front only
+/// once the consumed prefix is at least as long as the tail, so every
+/// byte is moved at most once per byte consumed before it.
+///
 /// [`last_fault`]: FrameReader::last_fault
+/// [`feed`]: FrameReader::feed
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already parsed into frames.
+    start: usize,
     last_fault: Option<FrameFault>,
     last_fault_len: u32,
     last_fault_codec: u8,
@@ -765,14 +773,19 @@ impl FrameReader {
         Self::default()
     }
 
-    /// Append bytes read from the socket.
+    /// Append bytes read from the socket, first compacting away the
+    /// consumed prefix when it outweighs the unconsumed tail.
     pub fn feed(&mut self, bytes: &[u8]) {
+        if self.start > 0 && self.start >= self.pending() {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Classification of the most recent [`next_frame`] error, cleared
@@ -805,40 +818,46 @@ impl FrameReader {
     /// Try to extract the next complete message. `Ok(None)` means more
     /// bytes are needed.
     pub fn next_frame(&mut self) -> Result<Option<WireMsg>, FvsError> {
-        if self.buf.len() < HEADER_LEN {
+        let avail = &self.buf[self.start..];
+        if avail.len() < HEADER_LEN {
             return Ok(None);
         }
-        let codec = if self.buf[..4] == MAGIC {
+        let codec = if avail[..4] == MAGIC {
             WireCodec::Json
-        } else if self.buf[..4] == MAGIC_V2 {
+        } else if avail[..4] == MAGIC_V2 {
             WireCodec::Binary
         } else {
             // The length bytes of a desynchronised stream are garbage;
             // report 0 rather than a misleading number.
+            let magic = format!("{:02x?}", &avail[..4]);
             self.fault(FrameFault::BadMagic, 0, 0);
             return Err(FvsError::wire(format!(
-                "bad magic {:02x?} (stream desynchronised or not an fvsst peer)",
-                &self.buf[..4]
+                "bad magic {magic} (stream desynchronised or not an fvsst peer)"
             )));
         };
-        let len = u32::from_be_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]) as usize;
+        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
         if len > MAX_FRAME_LEN {
             self.fault(FrameFault::Oversize, len as u32, codec.id());
             return Err(FvsError::wire(format!(
                 "frame length {len} exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}"
             )));
         }
-        if self.buf.len() < HEADER_LEN + len {
+        if avail.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        let payload = &self.buf[HEADER_LEN..HEADER_LEN + len];
+        let payload = &avail[HEADER_LEN..HEADER_LEN + len];
         let msg = match codec {
             WireCodec::Json => decode_payload(payload),
             WireCodec::Binary => decode_payload_binary(payload),
         };
         // Consume the frame whether or not the payload decoded: the
-        // framing itself was sound, so the next frame may be fine.
-        self.buf.drain(..HEADER_LEN + len);
+        // framing itself was sound, so the next frame may be fine. An
+        // emptied buffer rewinds for free.
+        self.start += HEADER_LEN + len;
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
+        }
         match &msg {
             Ok(_) => {
                 self.last_fault = None;
@@ -854,6 +873,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_summary() -> NodeSummary {
         NodeSummary {
@@ -1276,6 +1296,93 @@ mod tests {
                 assert!(back.sent_at_s.is_nan());
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// One data-plane frame drawn from `(kind, x, binary)`, with the
+    /// message it must parse back to.
+    fn arb_frame(kind: u8, x: u64, binary: bool) -> (WireMsg, Vec<u8>) {
+        let node = (x % 64) as usize;
+        let msg = match kind {
+            0 => WireMsg::Heartbeat { epoch: x },
+            1 => WireMsg::Ceiling(FrequencyCommand {
+                node,
+                freqs: (0..1 + x % 5)
+                    .map(|i| FreqMhz(250 + 50 * ((x + i) % 16) as u32))
+                    .collect(),
+            }),
+            2 => WireMsg::Summary(NodeSummary {
+                node,
+                power_w: (x % 1000) as f64,
+                ..sample_summary()
+            }),
+            _ => WireMsg::Bye { node },
+        };
+        let codec = if binary {
+            WireCodec::Binary
+        } else {
+            WireCodec::Json
+        };
+        let frame = encode_with(&msg, codec).unwrap();
+        (msg, frame)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A stream of mixed-codec frames fed in arbitrary chunks, with
+        /// parses interleaved, yields exactly the one-shot parse, and
+        /// `pending()` counts the bytes not yet consumed after every
+        /// feed and every parse.
+        #[test]
+        fn chunked_parse_matches_one_shot(
+            frames in prop::collection::vec((0u8..4, any::<u64>(), any::<bool>()), 1..40),
+            steps in prop::collection::vec((1usize..300, 0usize..4), 1..20),
+        ) {
+            let mut stream = Vec::new();
+            let mut lens = Vec::new();
+            let mut msgs = Vec::new();
+            for &(kind, x, binary) in &frames {
+                let (msg, frame) = arb_frame(kind, x, binary);
+                lens.push(frame.len());
+                stream.extend_from_slice(&frame);
+                msgs.push(msg);
+            }
+            let mut one_shot = FrameReader::new();
+            one_shot.feed(&stream);
+            let mut expected = Vec::new();
+            while let Some(msg) = one_shot.next_frame().unwrap() {
+                expected.push(msg);
+            }
+            prop_assert_eq!(&expected, &msgs);
+            prop_assert_eq!(one_shot.pending(), 0);
+
+            let mut r = FrameReader::new();
+            let mut got = Vec::new();
+            let (mut fed, mut consumed) = (0usize, 0usize);
+            for &(cut, polls) in steps.iter().cycle() {
+                if fed == stream.len() {
+                    break;
+                }
+                let end = (fed + cut).min(stream.len());
+                r.feed(&stream[fed..end]);
+                fed = end;
+                prop_assert_eq!(r.pending(), fed - consumed);
+                for _ in 0..polls {
+                    if let Some(msg) = r.next_frame().unwrap() {
+                        consumed += lens[got.len()];
+                        got.push(msg);
+                    }
+                    prop_assert_eq!(r.pending(), fed - consumed);
+                }
+            }
+            while let Some(msg) = r.next_frame().unwrap() {
+                consumed += lens[got.len()];
+                got.push(msg);
+                prop_assert_eq!(r.pending(), fed - consumed);
+            }
+            prop_assert_eq!(r.pending(), 0);
+            prop_assert_eq!(got, expected);
         }
     }
 }
